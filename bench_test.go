@@ -373,7 +373,7 @@ func benchCCDSlots(b *testing.B, parallel bool) {
 // identical solver code; both engines return identical selections
 // (TestQueryDeterministicAcrossOracleEngines), so queries/s is comparable.
 //
-// `make bench` runs this suite; `rtsebench -qps` writes the wall-clock
+// `make bench` runs this suite; `rtsebench -record qps` writes the wall-clock
 // numbers to BENCH_PR2.json.
 
 const (

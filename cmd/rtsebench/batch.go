@@ -1,18 +1,18 @@
-// Batch mode: the PR-5 coalescing harness. It measures the tentpole
-// acceptance gate directly — a coalesced batch of N identical same-slot
-// queries must execute at least 2× fewer total GSP sweeps than N independent
-// Query calls, with estimates identical within the GSP epsilon — and writes
-// the result as BENCH_PR5.json. Sweep counts are read from the obs pipeline
-// counters, so the measurement is deterministic (no wall-clock dependence)
-// and benchguard -pr5 can re-derive it on any machine.
+// The batch suite (BENCH_PR5.json): the coalescing harness. N identical
+// same-slot queries issued independently vs the same N coalesced through the
+// core.Batcher — the coalesced batch must execute at least 2× fewer total
+// GSP sweeps with estimates identical within the GSP epsilon — plus the
+// incremental warm-start economics. Sweep counts are read from the obs
+// pipeline counters, so the measurement is deterministic (no wall-clock
+// dependence) and the gate needs no machine calibration: the fresh ratio
+// must clear the recorded target and stay within tol of the recorded ratio.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -28,6 +28,16 @@ const (
 	batchTheta  = 0.9
 	batchSeed   = 7
 )
+
+// The size is the number of same-slot queries per coalesced batch.
+var batchSuite = &suite[batchReport, int]{
+	name:  "batch",
+	file:  "BENCH_PR5.json",
+	full:  32,
+	fresh: 32,
+	drive: driveBatch,
+	pass:  passBatch,
+}
 
 // batchReport is the BENCH_PR5.json schema.
 type batchReport struct {
@@ -80,18 +90,12 @@ func batchInstrumented(env *experiments.Env) (*core.System, *obs.Pipeline, error
 	return sys, pipe, nil
 }
 
-// runBatch executes the coalescing measurement and writes the JSON report.
-func runBatch(paper bool, batchSize int, outPath string) error {
-	if batchSize < 2 {
-		return fmt.Errorf("-batch-size must be ≥ 2, got %d", batchSize)
-	}
-	opt := experiments.Small()
-	if paper {
-		opt = experiments.Paper()
-	}
-	env, err := experiments.NewEnv(opt)
+// driveBatch runs batchSize queries sequentially, then coalesced, then the
+// warm-start probe.
+func driveBatch(fx *fixture, batchSize int, w io.Writer) (*batchReport, error) {
+	env, err := fx.env()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pool := crowd.PlaceEverywhere(env.Net)
 	slot := env.Slot
@@ -103,12 +107,12 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 		}
 	}
 
-	rep := batchReport{
+	rep := &batchReport{
 		Generated:        time.Now().UTC().Format(time.RFC3339),
 		GoVersion:        runtime.Version(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Roads:            opt.Roads,
-		Days:             opt.Days,
+		Roads:            fx.opt.Roads,
+		Days:             fx.opt.Days,
 		Slot:             int(slot),
 		QuerySize:        len(env.Query),
 		Budget:           batchBudget,
@@ -122,12 +126,12 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 	// OCS + probe + full GSP propagation.
 	seqSys, seqPipe, err := batchInstrumented(env)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	seqResults := make([]*core.QueryResult, batchSize)
 	for i := range seqResults {
 		if seqResults[i], err = seqSys.Query(mkReq()); err != nil {
-			return fmt.Errorf("sequential query %d: %w", i, err)
+			return nil, fmt.Errorf("sequential query %d: %w", i, err)
 		}
 	}
 	rep.SequentialSweeps = seqPipe.GSP.Iterations.Value()
@@ -136,13 +140,13 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 	// which coalesces them into shared same-slot passes.
 	batSys, batPipe, err := batchInstrumented(env)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b, err := core.NewBatcher(batSys, core.BatcherOptions{
 		Window: 50 * time.Millisecond, MaxBatch: batchSize,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	batResults := make([]*core.QueryResult, batchSize)
 	errs := make([]error, batchSize)
@@ -157,7 +161,7 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("batched query %d: %w", i, err)
+			return nil, fmt.Errorf("batched query %d: %w", i, err)
 		}
 	}
 	rep.BatchedSweeps = batPipe.GSP.Iterations.Value()
@@ -174,7 +178,7 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 		for r, want := range seqResults[i].QuerySpeeds {
 			got, ok := br.QuerySpeeds[r]
 			if !ok {
-				return fmt.Errorf("batched result %d missing road %d", i, r)
+				return nil, fmt.Errorf("batched result %d missing road %d", i, r)
 			}
 			if d := math.Abs(got - want); d > rep.MaxEstimateDelta {
 				rep.MaxEstimateDelta = d
@@ -187,11 +191,11 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 	// frontier.
 	warmSys, warmPipe, err := batchInstrumented(env)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	wb, err := core.NewBatcher(warmSys, core.BatcherOptions{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	obsA := map[int]float64{}
 	for r := 0; r < env.Net.N(); r += 6 {
@@ -199,7 +203,7 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 	}
 	cold, err := wb.Estimate(context.Background(), slot, obsA)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	obsB := make(map[int]float64, len(obsA))
 	for r, v := range obsA {
@@ -208,34 +212,47 @@ func runBatch(paper bool, batchSize int, outPath string) error {
 	obsB[0] += 4
 	warm, err := wb.Estimate(context.Background(), slot, obsB)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rep.ColdIterations = cold.Iterations
 	rep.WarmIterations = warm.Iterations
 	rep.WarmStarts = warmPipe.GSP.WarmStarts.Value()
 	rep.WarmSweepsSaved = warmPipe.GSP.SweepsSaved.Value()
+	rep.TargetAchieved = passBatch(nil, rep, io.Discard) == nil
 
-	rep.TargetAchieved = rep.SweepRatio >= rep.SweepRatioTarget &&
-		rep.MaxEstimateDelta <= rep.Epsilon
-
-	fmt.Printf("batch: %d same-slot queries  sequential %d sweeps  coalesced %d sweeps  ratio %.1f× (target ≥ %.1f×)\n",
+	fmt.Fprintf(w, "batch: %d same-slot queries  sequential %d sweeps  coalesced %d sweeps  ratio %.1f× (target ≥ %.1f×)\n",
 		batchSize, rep.SequentialSweeps, rep.BatchedSweeps, rep.SweepRatio, rep.SweepRatioTarget)
-	fmt.Printf("batch: groups=%d members=%d coalesced=%d  max estimate delta %.2e (ε=%.0e)\n",
+	fmt.Fprintf(w, "batch: groups=%d members=%d coalesced=%d  max estimate delta %.2e (ε=%.0e)\n",
 		rep.BatchGroups, rep.BatchMembers, rep.CoalescedQueries, rep.MaxEstimateDelta, rep.Epsilon)
-	fmt.Printf("batch: warm-start cold=%d warm=%d sweeps (saved %d, warm starts %d)\n",
+	fmt.Fprintf(w, "batch: warm-start cold=%d warm=%d sweeps (saved %d, warm starts %d)\n",
 		rep.ColdIterations, rep.WarmIterations, rep.WarmSweepsSaved, rep.WarmStarts)
-	if !rep.TargetAchieved {
-		fmt.Println("batch: WARNING target not achieved")
-	}
+	return rep, nil
+}
 
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
+// passBatch: the sweep ratio must clear the recorded target (and, for a
+// fresh run, stay within tol of the recorded ratio), and coalesced estimates
+// must match independent ones within the recorded epsilon.
+func passBatch(base, run *batchReport, w io.Writer) error {
+	ref := base
+	if ref == nil {
+		ref = run
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
+	if ref.BatchSize < 2 || ref.SweepRatioTarget <= 0 || ref.Epsilon <= 0 {
+		return fmt.Errorf("implausible baseline (batch_size=%d, target=%v, epsilon=%v)",
+			ref.BatchSize, ref.SweepRatioTarget, ref.Epsilon)
 	}
-	fmt.Printf("batch: wrote %s\n", outPath)
-	return nil
+	verdict := compareSweepRatio(ref.SweepRatio, run.SweepRatio, ref.SweepRatioTarget, tol)
+	if base != nil {
+		fmt.Fprintf(w, "rtsebench: batch sweep ratio baseline %.1f×, fresh %.1f×, target %.1f× — %s\n",
+			ref.SweepRatio, run.SweepRatio, ref.SweepRatioTarget, passFail(verdict == nil))
+	}
+	if verdict != nil {
+		return verdict
+	}
+	verdict = compareEstimateDelta(run.MaxEstimateDelta, ref.Epsilon)
+	if base != nil {
+		fmt.Fprintf(w, "rtsebench: batch equivalence max delta %.2e, epsilon %.0e — %s\n",
+			run.MaxEstimateDelta, ref.Epsilon, passFail(verdict == nil))
+	}
+	return verdict
 }

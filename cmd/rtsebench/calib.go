@@ -1,15 +1,15 @@
-// Calibration mode: the PR-9 uncertainty harness. It runs the
-// experiments.CalibrationAblation coverage sweep (probe densities × service
-// tiers × nominal credible levels) and the variance-minimizing OCS
-// objective ablation, and writes the result as BENCH_PR9.json for the
-// benchguard -pr9 gate. Every number is fully seeded, so the gate can
-// re-derive a cell on any machine.
+// The calib suite (BENCH_PR9.json): the uncertainty-calibration harness. It
+// runs the experiments.CalibrationAblation coverage sweep (probe densities ×
+// service tiers × nominal credible levels) and the variance-minimizing OCS
+// objective ablation. Every number is fully seeded, so the reduced -check
+// run — the same sweep at the serving level only — fails exactly, not
+// statistically, on a drifted SD path, a broken tier inflation or a
+// mis-wired objective.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"time"
 
@@ -17,15 +17,22 @@ import (
 	"repro/internal/stattest"
 )
 
-// calibLevels is the nominal-level axis of the recorded sweep.
-var calibLevels = []float64{0.5, 0.8, 0.9, 0.95}
+// calibSize sizes the calibration harness.
+type calibSize struct {
+	slots     int // scored slots per evaluation day (twice as many are walked)
+	densities []int
+	levels    []float64
+	budgets   []int // OCS budgets of the objective ablation
+}
 
-// calibGateLevel is the nominal level the gate judges: the serving default.
-const calibGateLevel = 0.9
-
-// calibTheta is the OCS coverage threshold of the objective ablation, the
-// paper's default.
-const calibTheta = 0.92
+var calibSuite = &suite[calibReport, calibSize]{
+	name:  "calib",
+	file:  "BENCH_PR9.json",
+	full:  calibSize{slots: 6, densities: []int{4, 8, 16}, levels: coverageLevels, budgets: []int{3, 5, 8}},
+	fresh: calibSize{slots: 6, densities: []int{4, 8, 16}, levels: []float64{servingLevel}, budgets: []int{3, 5, 8}},
+	drive: driveCalib,
+	pass:  passCalib,
+}
 
 // calibCellJSON is one coverage cell in the BENCH_PR9.json schema.
 type calibCellJSON struct {
@@ -74,36 +81,32 @@ type calibReport struct {
 	TargetAchieved bool `json:"target_achieved"`
 }
 
-// runCalib executes the PR-9 measurement and writes the JSON report.
-func runCalib(paper bool, slots int, densities, budgets []int, outPath string) error {
-	opt := experiments.Small()
-	if paper {
-		opt = experiments.Paper()
-	}
-	env, err := experiments.NewEnv(opt)
+// driveCalib runs the coverage sweep and the objective ablation.
+func driveCalib(fx *fixture, size calibSize, w io.Writer) (*calibReport, error) {
+	env, err := fx.env()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep := calibReport{
+	rep := &calibReport{
 		Generated:   time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Roads:       opt.Roads,
-		Days:        opt.Days,
+		Roads:       fx.opt.Roads,
+		Days:        fx.opt.Days,
 		Slot:        int(env.Slot),
 		QuerySize:   len(env.Query),
-		ScoredSlots: slots,
-		Densities:   densities,
-		Levels:      calibLevels,
-		Budgets:     budgets,
+		ScoredSlots: size.slots,
+		Densities:   size.densities,
+		Levels:      size.levels,
+		Budgets:     size.budgets,
 	}
 
-	res, err := experiments.CalibrationAblation(env, densities, calibLevels, slots)
+	res, err := experiments.CalibrationAblation(env, size.densities, size.levels, size.slots)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	experiments.RenderCalibration(os.Stdout, res)
-	fmt.Println()
+	experiments.RenderCalibration(w, res)
+	fmt.Fprintln(w)
 	rep.SDScale, rep.PriorScale = res.SDScale, res.PriorScale
 	for _, c := range res.Cells {
 		rep.Cells = append(rep.Cells, calibCellJSON{
@@ -112,60 +115,72 @@ func runCalib(paper bool, slots int, densities, budgets []int, outPath string) e
 		})
 	}
 
-	varmin, err := experiments.VarMinAblation(env, budgets, calibTheta)
+	varmin, err := experiments.VarMinAblation(env, size.budgets, theta)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	experiments.RenderVarMin(os.Stdout, varmin)
-	fmt.Println()
+	experiments.RenderVarMin(w, varmin)
+	fmt.Fprintln(w)
 	for _, r := range varmin {
 		rep.VarMin = append(rep.VarMin, varMinJSON{
 			Budget: r.Budget, HybridVar: r.HybridVar, VarMinVar: r.VarMinVar, WinPct: r.WinPct,
 		})
 	}
-
-	rep.TargetAchieved = calibTarget(rep.Cells, rep.VarMin)
-	if !rep.TargetAchieved {
-		fmt.Println("calib: WARNING target not achieved")
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("calib: wrote %s\n", outPath)
-	return nil
+	rep.TargetAchieved = passCalib(nil, rep, io.Discard) == nil
+	return rep, nil
 }
 
-// calibTarget evaluates the gate condition over a report's cells: honest
-// full tier, conservative degraded tiers, variance objective that earns its
-// name.
-func calibTarget(cells []calibCellJSON, varmin []varMinJSON) bool {
-	ok := false
-	for _, c := range cells {
-		if c.Level != calibGateLevel {
+// passCalib: at the serving level the full tier's coverage must sit within
+// the binomial band of nominal and every degraded tier must be conservative,
+// across ≥ 3 densities; the variance objective must not lose to correlation
+// at any budget and must win in total.
+func passCalib(base, run *calibReport, w io.Writer) error {
+	if len(run.Densities) < 3 {
+		return fmt.Errorf("%d probe densities recorded, want ≥ 3", len(run.Densities))
+	}
+	judged := 0
+	for _, c := range run.Cells {
+		if c.Level != servingLevel {
 			continue
 		}
-		ok = true
+		judged++
+		var verdict error
 		if c.Tier == "full" {
-			if err := stattest.CheckCoverage(c.Coverage, c.Level, c.N, false); err != nil {
-				return false
-			}
+			verdict = stattest.CheckCoverage(c.Coverage, c.Level, c.N, false)
 		} else if c.Coverage < c.Level {
-			return false
+			verdict = fmt.Errorf("under-covers nominal %.2f: %.4f", c.Level, c.Coverage)
+		}
+		if base != nil && c.Probes == run.Densities[0] {
+			fmt.Fprintf(w, "rtsebench: calibration smoke %7s tier at %d probes: coverage %.4f (n=%d) — %s\n",
+				c.Tier, c.Probes, c.Coverage, c.N, passFail(verdict == nil))
+		}
+		if verdict != nil {
+			return fmt.Errorf("%s tier at %d probes: %w", c.Tier, c.Probes, verdict)
 		}
 	}
-	if !ok || len(varmin) == 0 {
-		return false
+	if judged < 4*len(run.Densities) {
+		return fmt.Errorf("%d cells at level %.2f, want %d (4 tiers × %d densities)",
+			judged, servingLevel, 4*len(run.Densities), len(run.Densities))
 	}
 	var hv, vv float64
-	for _, r := range varmin {
+	for _, r := range run.VarMin {
+		if r.VarMinVar > r.HybridVar {
+			return fmt.Errorf("budget %d: varmin objective worse than correlation (%.4f > %.4f)",
+				r.Budget, r.VarMinVar, r.HybridVar)
+		}
 		hv += r.HybridVar
 		vv += r.VarMinVar
 	}
-	return vv < hv
+	verdict := len(run.VarMin) > 0 && vv < hv
+	if base != nil {
+		fmt.Fprintf(w, "rtsebench: varmin smoke total Σ SD² corr %.2f vs varmin %.2f — %s\n", hv, vv, passFail(verdict))
+	}
+	if !verdict {
+		return fmt.Errorf("varmin objective does not beat correlation in total (%.4f ≥ %.4f)", vv, hv)
+	}
+	if base == nil {
+		fmt.Fprintf(w, "rtsebench: calibration baseline %d cells at level %.2f honest, varmin total %.1f < corr %.1f — ok\n",
+			judged, servingLevel, vv, hv)
+	}
+	return nil
 }

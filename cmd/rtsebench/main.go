@@ -5,67 +5,32 @@
 //
 //	rtsebench [-paper] [-rq N] [-only tableII,fig2,fig3,fig3dape,fig3theta,tableIII,fig4,fig5,fig6,ablate]
 //
-// The -qps flag switches to the concurrent-throughput harness instead: it
-// sweeps client counts over the legacy (pre-PR-2) and sharded oracle engines
-// and writes the perf-trajectory JSON (default BENCH_PR2.json):
+// It also owns the recorded bench suites that guard the later additions
+// (suite.go holds the registry):
 //
-//	rtsebench -qps [-qps-duration 2s] [-qps-clients 1,4,16] [-out BENCH_PR2.json]
+//	qps        BENCH_PR2.json   legacy vs sharded oracle throughput sweep
+//	lifecycle  BENCH_PR3.json   snapshot save/load, hot-swap, refit drill
+//	batch      BENCH_PR5.json   Batcher coalescing sweep ratio, warm starts
+//	load       BENCH_PR6.json   diurnal overload replay against QoS admission
+//	metro      BENCH_PR7.json   100k-road sharded e2e latency, shards × clients
+//	temporal   BENCH_PR8.json   per-slot GSP vs the state-space filter
+//	calib      BENCH_PR9.json   interval coverage, variance-minimizing OCS
+//	route      BENCH_PR10.json  route ETA coverage, route-aware OCS
 //
-// The -lifecycle flag measures the model-lifecycle subsystem instead:
-// snapshot save/load latency (encode + checksums + atomic publish), hot-swap
-// latency, and the full refit drill, written as BENCH_PR3.json:
+// -record <suite> runs one suite at full size and writes its file (in the
+// working directory; -paper sizes the experiment environment). -check is the
+// perf-regression gate of `make check`: it validates every checked-in file
+// and re-runs each suite at a reduced size against it, exiting 1 on the first
+// regression:
 //
-//	rtsebench -lifecycle [-lifecycle-iters 20] [-out BENCH_PR3.json]
-//
-// The -batch flag measures the PR-5 coalescing engine instead: total GSP
-// sweeps for N independent same-slot queries vs the same N coalesced through
-// the core.Batcher (plus the incremental warm-start economics), written as
-// BENCH_PR5.json:
-//
-//	rtsebench -batch [-batch-size 32] [-out BENCH_PR5.json]
-//
-// The -load flag replays a diurnal overload curve (demand derived from the
-// speedgen congestion profile) against a live QoS-enabled server and records
-// per-class shed rates, served tiers and latency quantiles, written as
-// BENCH_PR6.json for the benchguard -pr6 gate:
-//
-//	rtsebench -load [-load-steps 16] [-load-inflight 8] [-load-surge 3] [-out BENCH_PR6.json]
-//
-// The -metro flag runs the PR-7 metropolitan-scale harness instead: it
-// synthesizes a 100k-road metro network with a phase-aliased model, measures
-// the end-to-end sharded query latency against the 1-second budget, and
-// sweeps shard counts × client counts over the partitioned engine, written as
-// BENCH_PR7.json for the benchguard -pr7 gate:
-//
-//	rtsebench -metro [-metro-roads 100000] [-metro-shards 1,2,4] [-metro-clients 1,4,16] [-metro-duration 2s] [-out BENCH_PR7.json]
-//
-// The -temporal flag runs the PR-8 cross-slot state-space harness instead: a
-// sparsity sweep of per-slot GSP vs the Kalman filter, the forecast horizon
-// curve against realized truth, and the filter step/fan micro-benchmark,
-// written as BENCH_PR8.json for the benchguard -pr8 gate:
-//
-//	rtsebench -temporal [-temporal-slots 12] [-temporal-probes 4,12,24] [-temporal-horizon 4] [-out BENCH_PR8.json]
-//
-// The -calib flag runs the PR-9 uncertainty-calibration harness instead:
-// the interval-coverage sweep (densities × tiers × levels) plus the
-// variance-minimizing OCS ablation, written as BENCH_PR9.json for the
-// benchguard -pr9 gate:
-//
-//	rtsebench -calib [-calib-slots 6] [-calib-densities 4,8,16] [-calib-budgets 3,5,8] [-out BENCH_PR9.json]
-//
-// The -route flag runs the PR-10 route-level ETA harness instead: the
-// route-coverage sweep (OD-pair fleet, route-level conformal scale,
-// densities × levels) plus the route-aware OCS objective ablation, written
-// as BENCH_PR10.json for the benchguard -pr10 gate:
-//
-//	rtsebench -route [-route-pairs 6] [-route-slots 6] [-route-densities 8,16] [-route-budgets 5,10,20] [-out BENCH_PR10.json]
+//	rtsebench -record metro
+//	rtsebench -check
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -77,177 +42,36 @@ func main() {
 	paper := flag.Bool("paper", false, "run the full paper-scale configuration (607 roads, 30 days)")
 	only := flag.String("only", "", "comma-separated subset of experiments to run")
 	rq := flag.Int("rq", 0, "override the query size |R^q| (the paper uses 33 and 51)")
-	qps := flag.Bool("qps", false, "run the concurrent-throughput sweep instead of the experiment suite")
-	qpsDuration := flag.Duration("qps-duration", 2*time.Second, "wall-clock length of each (engine, clients) run")
-	qpsClients := flag.String("qps-clients", "1,4,16", "comma-separated concurrent client counts")
-	lifecycle := flag.Bool("lifecycle", false, "run the model-lifecycle latency harness instead of the experiment suite")
-	lifecycleIters := flag.Int("lifecycle-iters", 20, "samples per lifecycle operation")
-	batch := flag.Bool("batch", false, "run the batch-coalescing sweep harness instead of the experiment suite")
-	batchSize := flag.Int("batch-size", 32, "same-slot queries per coalesced batch")
-	load := flag.Bool("load", false, "run the diurnal overload replay against the QoS-enabled server instead of the experiment suite")
-	loadSteps := flag.Int("load-steps", 16, "diurnal steps in the -load replay")
-	loadInflight := flag.Int("load-inflight", 8, "server admission capacity (MaxInFlight) for -load")
-	loadSurge := flag.Float64("load-surge", 3, "peak offered concurrency as a multiple of MaxInFlight for -load")
-	metro := flag.Bool("metro", false, "run the metropolitan-scale shard harness instead of the experiment suite")
-	metroRoads := flag.Int("metro-roads", 100000, "road count for the -metro network")
-	metroShards := flag.String("metro-shards", "1,2,4", "comma-separated shard counts for the -metro sweep")
-	metroClients := flag.String("metro-clients", "1,4,16", "comma-separated client counts for the -metro sweep")
-	metroDuration := flag.Duration("metro-duration", 2*time.Second, "wall-clock length of each -metro sweep cell")
-	temporalMode := flag.Bool("temporal", false, "run the cross-slot state-space harness instead of the experiment suite")
-	temporalSlots := flag.Int("temporal-slots", 12, "consecutive slots walked per evaluation day for -temporal")
-	temporalProbes := flag.String("temporal-probes", "4,12,24", "comma-separated probe-sparsity levels for -temporal (sparsest first)")
-	temporalHorizon := flag.Int("temporal-horizon", 4, "forecast fan depth for -temporal")
-	calib := flag.Bool("calib", false, "run the uncertainty-calibration harness instead of the experiment suite")
-	routeMode := flag.Bool("route", false, "run the route-level ETA harness instead of the experiment suite")
-	routePairs := flag.Int("route-pairs", 6, "OD pairs in the -route fleet")
-	routeSlots := flag.Int("route-slots", 6, "scored slots per evaluation day for -route (twice as many are walked)")
-	routeDensities := flag.String("route-densities", "8,16", "comma-separated probe densities for -route")
-	routeBudgets := flag.String("route-budgets", "5,10,20", "comma-separated OCS budgets for the -route objective ablation")
-	calibSlots := flag.Int("calib-slots", 6, "scored slots per evaluation day for -calib (twice as many are walked)")
-	calibDensities := flag.String("calib-densities", "4,8,16", "comma-separated probe densities for -calib")
-	calibBudgets := flag.String("calib-budgets", "3,5,8", "comma-separated OCS budgets for the -calib objective ablation")
-	out := flag.String("out", "", "output path for the -qps / -lifecycle / -batch / -load / -metro / -temporal / -calib JSON report (defaults per mode)")
+	record := flag.String("record", "", "record one bench suite's baseline file: "+suiteNames())
+	check := flag.Bool("check", false, "gate every checked-in bench baseline against a fresh reduced run")
 	flag.Parse()
-	if *routeMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR10.json"
-		}
-		densities, err := parseClients(*routeDensities)
-		if err == nil {
-			var budgets []int
-			budgets, err = parseClients(*routeBudgets)
-			if err == nil {
-				err = runRoute(*paper, *routePairs, *routeSlots, densities, budgets, path)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
+
+	var err error
+	switch {
+	case *check:
+		err = runCheck(os.Stdout)
+	case *record != "":
+		err = runRecord(*record, *paper)
+	default:
+		err = run(*paper, *only, *rq)
 	}
-	if *calib {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR9.json"
-		}
-		densities, err := parseClients(*calibDensities)
-		if err == nil {
-			var budgets []int
-			budgets, err = parseClients(*calibBudgets)
-			if err == nil {
-				err = runCalib(*paper, *calibSlots, densities, budgets, path)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *temporalMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR8.json"
-		}
-		probes, err := parseClients(*temporalProbes)
-		if err == nil {
-			err = runTemporal(*paper, *temporalSlots, *temporalHorizon, probes, path)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *metro {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR7.json"
-		}
-		shardCounts, err := parseClients(*metroShards)
-		if err == nil {
-			var clients []int
-			clients, err = parseClients(*metroClients)
-			if err == nil {
-				err = runMetro(*metroRoads, *metroDuration, shardCounts, clients, path)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *load {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR6.json"
-		}
-		if err := runLoad(*loadSteps, *loadInflight, *loadSurge, path); err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batch {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR5.json"
-		}
-		if err := runBatch(*paper, *batchSize, path); err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *lifecycle {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR3.json"
-		}
-		if err := runLifecycle(*paper, *lifecycleIters, path); err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *qps {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR2.json"
-		}
-		clients, err := parseClients(*qpsClients)
-		if err == nil {
-			err = runQPS(*paper, *qpsDuration, clients, path)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*paper, *only, *rq); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtsebench:", err)
 		os.Exit(1)
 	}
 }
 
-// parseClients parses a comma-separated list of positive client counts.
-func parseClients(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -qps-clients entry %q", f)
-		}
-		out = append(out, n)
+// runRecord records one suite at full size.
+func runRecord(name string, paper bool) error {
+	s, err := findSuite(name)
+	if err != nil {
+		return err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-qps-clients is empty")
+	fx := &fixture{opt: experiments.Small()}
+	if paper {
+		fx.opt = experiments.Paper()
 	}
-	return out, nil
+	return s.record(fx, os.Stdout)
 }
 
 func run(paper bool, only string, querySize int) error {

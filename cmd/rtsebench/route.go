@@ -1,16 +1,17 @@
-// Route mode: the PR-10 route-level ETA harness. It runs the
+// The route suite (BENCH_PR10.json): the route-level ETA harness. It runs the
 // experiments.RouteETACoverage sweep (probe densities × nominal credible
 // levels over a deterministic OD-pair fleet, with a route-level conformal
 // scale fitted on interleaved calibration slots) and the route-aware OCS
 // objective ablation (correlation vs RouteVar on realized ETA variance at
-// equal budget), and writes the result as BENCH_PR10.json for the
-// benchguard -pr10 gate. Every number is fully seeded.
+// equal budget). Every number is fully seeded, so the reduced -check run —
+// the same sweep at the serving level only — fails exactly on a drifted
+// delta-method integration, a broken sensitivity weighting or a mis-wired
+// RouteVar selector.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"time"
 
@@ -18,12 +19,23 @@ import (
 	"repro/internal/stattest"
 )
 
-// routeGateLevel is the nominal level the gate judges: the serving default.
-const routeGateLevel = 0.9
+// routeSize sizes the route harness.
+type routeSize struct {
+	pairs     int // OD pairs in the fleet
+	slots     int // scored slots per evaluation day (twice as many are walked)
+	densities []int
+	levels    []float64
+	budgets   []int // OCS budgets of the objective ablation
+}
 
-// routeTheta is the OCS coverage threshold of the route ablation, the
-// paper's default.
-const routeTheta = 0.92
+var routeSuite = &suite[routeReport, routeSize]{
+	name:  "route",
+	file:  "BENCH_PR10.json",
+	full:  routeSize{pairs: 6, slots: 6, densities: []int{8, 16}, levels: coverageLevels, budgets: []int{5, 10, 20}},
+	fresh: routeSize{pairs: 6, slots: 6, densities: []int{8, 16}, levels: []float64{servingLevel}, budgets: []int{5, 10, 20}},
+	drive: driveRoute,
+	pass:  passRoute,
+}
 
 // routeCellJSON is one route-coverage cell in the BENCH_PR10.json schema.
 type routeCellJSON struct {
@@ -69,35 +81,31 @@ type routeReport struct {
 	TargetAchieved bool `json:"target_achieved"`
 }
 
-// runRoute executes the PR-10 measurement and writes the JSON report.
-func runRoute(paper bool, pairs, slots int, densities, budgets []int, outPath string) error {
-	opt := experiments.Small()
-	if paper {
-		opt = experiments.Paper()
-	}
-	env, err := experiments.NewEnv(opt)
+// driveRoute runs the route-coverage sweep and the route-OCS ablation.
+func driveRoute(fx *fixture, size routeSize, w io.Writer) (*routeReport, error) {
+	env, err := fx.env()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep := routeReport{
+	rep := &routeReport{
 		Generated:   time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Roads:       opt.Roads,
-		Days:        opt.Days,
+		Roads:       fx.opt.Roads,
+		Days:        fx.opt.Days,
 		Slot:        int(env.Slot),
-		ScoredSlots: slots,
-		Densities:   densities,
-		Levels:      calibLevels,
-		Budgets:     budgets,
+		ScoredSlots: size.slots,
+		Densities:   size.densities,
+		Levels:      size.levels,
+		Budgets:     size.budgets,
 	}
 
-	cov, err := experiments.RouteETACoverage(env, pairs, densities, calibLevels, slots)
+	cov, err := experiments.RouteETACoverage(env, size.pairs, size.densities, size.levels, size.slots)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	experiments.RenderRouteCoverage(os.Stdout, cov)
-	fmt.Println()
+	experiments.RenderRouteCoverage(w, cov)
+	fmt.Fprintln(w)
 	rep.RouteScale = cov.RouteScale
 	rep.Pairs = cov.Pairs
 	for _, c := range cov.Cells {
@@ -107,56 +115,67 @@ func runRoute(paper bool, pairs, slots int, densities, budgets []int, outPath st
 		})
 	}
 
-	ocs, err := experiments.RouteOCSAblation(env, pairs, budgets, routeTheta)
+	ocs, err := experiments.RouteOCSAblation(env, size.pairs, size.budgets, theta)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	experiments.RenderRouteOCS(os.Stdout, ocs)
-	fmt.Println()
+	experiments.RenderRouteOCS(w, ocs)
+	fmt.Fprintln(w)
 	for _, r := range ocs {
 		rep.RouteOCS = append(rep.RouteOCS, routeOCSJSON{
 			Budget: r.Budget, HybridVar: r.HybridVar, RouteVarVar: r.RouteVarVar, WinPct: r.WinPct,
 		})
 	}
-
-	rep.TargetAchieved = routeTarget(rep.Cells, rep.RouteOCS)
-	if !rep.TargetAchieved {
-		fmt.Println("route: WARNING target not achieved")
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("route: wrote %s\n", outPath)
-	return nil
+	rep.TargetAchieved = passRoute(nil, rep, io.Discard) == nil
+	return rep, nil
 }
 
-// routeTarget evaluates the gate condition over a report: in-band route
-// coverage at the serving level, and a route-aware objective that strictly
-// earns its name at every budget.
-func routeTarget(cells []routeCellJSON, ocs []routeOCSJSON) bool {
-	judged := false
-	for _, c := range cells {
-		if c.Level != routeGateLevel {
+// passRoute: at the serving level the route interval's coverage must sit
+// within the binomial band at every density (≥ 2 densities, ≥ 2 OD pairs),
+// and the route-aware objective's realized ETA variance must be strictly
+// below the correlation objective's at every budget.
+func passRoute(base, run *routeReport, w io.Writer) error {
+	if len(run.Densities) < 2 {
+		return fmt.Errorf("%d probe densities recorded, want ≥ 2", len(run.Densities))
+	}
+	if run.Pairs < 2 {
+		return fmt.Errorf("%d OD pairs recorded, want ≥ 2", run.Pairs)
+	}
+	judged := 0
+	for _, c := range run.Cells {
+		if c.Level != servingLevel {
 			continue
 		}
-		judged = true
-		if err := stattest.CheckCoverage(c.Coverage, c.Level, c.N, false); err != nil {
-			return false
+		judged++
+		verdict := stattest.CheckCoverage(c.Coverage, c.Level, c.N, false)
+		if base != nil {
+			fmt.Fprintf(w, "rtsebench: route smoke coverage at %2d probes: %.4f (n=%d) — %s\n",
+				c.Probes, c.Coverage, c.N, passFail(verdict == nil))
+		}
+		if verdict != nil {
+			return fmt.Errorf("route coverage at %d probes: %w", c.Probes, verdict)
 		}
 	}
-	if !judged || len(ocs) == 0 {
-		return false
+	if judged < len(run.Densities) {
+		return fmt.Errorf("%d cells at level %.2f, want %d", judged, servingLevel, len(run.Densities))
 	}
-	for _, r := range ocs {
-		if !(r.RouteVarVar < r.HybridVar) {
-			return false
+	if len(run.RouteOCS) == 0 {
+		return fmt.Errorf("no route-OCS rows recorded")
+	}
+	for _, r := range run.RouteOCS {
+		verdict := r.RouteVarVar < r.HybridVar
+		if base != nil {
+			fmt.Fprintf(w, "rtsebench: route smoke OCS at budget %2d: corr %.4f vs routevar %.4f — %s\n",
+				r.Budget, r.HybridVar, r.RouteVarVar, passFail(verdict))
+		}
+		if !verdict {
+			return fmt.Errorf("budget %d: route-aware objective not strictly better (%.6f ≥ %.6f)",
+				r.Budget, r.RouteVarVar, r.HybridVar)
 		}
 	}
-	return true
+	if base == nil {
+		fmt.Fprintf(w, "rtsebench: route baseline %d coverage cells at level %.2f in-band, routevar beats corr at %d budgets — ok\n",
+			judged, servingLevel, len(run.RouteOCS))
+	}
+	return nil
 }

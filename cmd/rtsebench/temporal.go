@@ -1,17 +1,16 @@
-// Temporal mode: the PR-8 cross-slot state-space harness. It runs the
-// experiments.TemporalAblation sparsity sweep (per-slot GSP vs the filter),
-// the forecast-vs-realized horizon curve, and a filter micro-benchmark
-// (predict+update step latency, forecast-fan latency), and writes the result
-// as BENCH_PR8.json for the benchguard -pr8 gate. The MAPE numbers are fully
-// seeded, so the gate can re-derive them on any machine; only the latencies
-// are wall-clock.
+// The temporal suite (BENCH_PR8.json): the cross-slot state-space harness.
+// It runs the experiments.TemporalAblation sparsity sweep (per-slot GSP vs
+// the filter), the forecast-vs-realized horizon curve, and a filter
+// micro-benchmark (predict+update step latency, forecast-fan latency). The
+// MAPE numbers are fully seeded, so the reduced -check run — the sparsest
+// ablation cell alone — fails exactly, not statistically, on a drifted
+// filter or a broken feed order; only the latencies are wall-clock.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
@@ -21,6 +20,24 @@ import (
 )
 
 const temporalBenchIters = 2000
+
+// temporalSize sizes the temporal harness.
+type temporalSize struct {
+	slots  int   // consecutive slots walked per evaluation day
+	probes []int // probe-sparsity levels, sparsest first
+	// horizon is the forecast fan depth; 0 skips the forecast curve and the
+	// filter micro-benchmark.
+	horizon int
+}
+
+var temporalSuite = &suite[temporalReport, temporalSize]{
+	name:  "temporal",
+	file:  "BENCH_PR8.json",
+	full:  temporalSize{slots: 12, probes: []int{4, 12, 24}, horizon: 4},
+	fresh: temporalSize{slots: 12, probes: []int{4}},
+	drive: driveTemporal,
+	pass:  passTemporal,
+}
 
 // temporalAblationJSON is one sparsity level in the BENCH_PR8.json schema.
 type temporalAblationJSON struct {
@@ -68,84 +85,61 @@ type temporalReport struct {
 	TargetAchieved bool    `json:"target_achieved"`
 }
 
-// runTemporal executes the PR-8 measurement and writes the JSON report.
-func runTemporal(paper bool, slots, horizon int, probeLevels []int, outPath string) error {
-	opt := experiments.Small()
-	if paper {
-		opt = experiments.Paper()
-	}
-	env, err := experiments.NewEnv(opt)
+// driveTemporal runs the ablation, the forecast curve and the filter
+// micro-benchmark.
+func driveTemporal(fx *fixture, size temporalSize, w io.Writer) (*temporalReport, error) {
+	env, err := fx.env()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rep := temporalReport{
+	rep := &temporalReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Roads:      opt.Roads,
-		Days:       opt.Days,
+		Roads:      fx.opt.Roads,
+		Days:       fx.opt.Days,
 		Slot:       int(env.Slot),
 		QuerySize:  len(env.Query),
-		WalkSlots:  slots,
-		Probes:     probeLevels,
-		Horizon:    horizon,
+		WalkSlots:  size.slots,
+		Probes:     size.probes,
+		Horizon:    size.horizon,
 	}
 
-	ablation, err := experiments.TemporalAblation(env, probeLevels, slots)
+	ablation, err := experiments.TemporalAblation(env, size.probes, size.slots)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	experiments.RenderTemporalAblation(os.Stdout, ablation)
-	fmt.Println()
+	experiments.RenderTemporalAblation(w, ablation)
+	fmt.Fprintln(w)
 	for _, r := range ablation {
 		rep.Ablation = append(rep.Ablation, temporalAblationJSON{
 			Probes: r.Probes, GSPMAPE: r.GSPMAPE, FilterMAPE: r.FilterMAPE,
 			WinPct: r.WinPct, ForecastSD: r.ForecastSD,
 		})
 	}
-
-	forecast, err := experiments.TemporalForecast(env, probeLevels[len(probeLevels)/2], slots, horizon)
-	if err != nil {
-		return err
-	}
-	experiments.RenderTemporalForecast(os.Stdout, forecast)
-	fmt.Println()
-	for _, r := range forecast {
-		rep.Forecast = append(rep.Forecast, temporalForecastJSON{
-			Horizon: r.Horizon, MAPE: r.MAPE, PriorMAPE: r.PriorMAPE,
-			Skill: r.Skill, MeanSD: r.MeanSD,
-		})
-	}
-
-	if rep.StepMicros, rep.ForecastMicros, err = benchFilter(env, horizon); err != nil {
-		return err
-	}
-	fmt.Printf("temporal: filter step %.2fµs  forecast fan (k=%d) %.2fµs  (%d roads)\n",
-		rep.StepMicros, horizon, rep.ForecastMicros, env.Net.N())
-
 	rep.SparseWinPct = rep.Ablation[0].WinPct
-	rep.TargetAchieved = rep.Ablation[0].FilterMAPE < rep.Ablation[0].GSPMAPE
-	for _, a := range rep.Ablation {
-		for k := 1; k < len(a.ForecastSD); k++ {
-			if a.ForecastSD[k]+1e-12 < a.ForecastSD[k-1] {
-				rep.TargetAchieved = false
-			}
-		}
-	}
-	if !rep.TargetAchieved {
-		fmt.Println("temporal: WARNING target not achieved")
-	}
 
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
+	if size.horizon > 0 {
+		forecast, err := experiments.TemporalForecast(env, size.probes[len(size.probes)/2], size.slots, size.horizon)
+		if err != nil {
+			return nil, err
+		}
+		experiments.RenderTemporalForecast(w, forecast)
+		fmt.Fprintln(w)
+		for _, r := range forecast {
+			rep.Forecast = append(rep.Forecast, temporalForecastJSON{
+				Horizon: r.Horizon, MAPE: r.MAPE, PriorMAPE: r.PriorMAPE,
+				Skill: r.Skill, MeanSD: r.MeanSD,
+			})
+		}
+		if rep.StepMicros, rep.ForecastMicros, err = benchFilter(env, size.horizon); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "temporal: filter step %.2fµs  forecast fan (k=%d) %.2fµs  (%d roads)\n",
+			rep.StepMicros, size.horizon, rep.ForecastMicros, env.Net.N())
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("temporal: wrote %s\n", outPath)
-	return nil
+	rep.TargetAchieved = passTemporal(nil, rep, io.Discard) == nil
+	return rep, nil
 }
 
 // benchFilter times one predict+update step and one forecast fan over the
@@ -185,4 +179,49 @@ func benchFilter(env *experiments.Env, horizon int) (stepMicros, fanMicros float
 	}
 	fanMicros = float64(time.Since(start).Microseconds()) / temporalBenchIters
 	return stepMicros, fanMicros, nil
+}
+
+// passTemporal: the filter must strictly beat per-slot GSP at the sparsest
+// level and every forecast SD curve must widen monotonically with the
+// horizon. A record must also span ≥ 2 sparsity levels and carry a forecast
+// curve with positive 1-step skill and a monotone mean SD.
+func passTemporal(base, run *temporalReport, w io.Writer) error {
+	if len(run.Ablation) == 0 || (base == nil && len(run.Ablation) < 2) {
+		return fmt.Errorf("%d ablation levels recorded, want ≥ 2", len(run.Ablation))
+	}
+	sparse := run.Ablation[0]
+	verdict := sparse.FilterMAPE < sparse.GSPMAPE
+	if base != nil {
+		fmt.Fprintf(w, "rtsebench: temporal smoke probes=%d GSP %.4f vs filter %.4f (win %.1f%%) — %s\n",
+			sparse.Probes, sparse.GSPMAPE, sparse.FilterMAPE, sparse.WinPct, passFail(verdict))
+	}
+	if !verdict {
+		return fmt.Errorf("sparse level (%d probes): filter MAPE %.4f ≥ GSP %.4f",
+			sparse.Probes, sparse.FilterMAPE, sparse.GSPMAPE)
+	}
+	for _, a := range run.Ablation {
+		for k := 1; k < len(a.ForecastSD); k++ {
+			if a.ForecastSD[k]+1e-12 < a.ForecastSD[k-1] {
+				return fmt.Errorf("probes=%d forecast SD shrinks at horizon %d (%.4f < %.4f)",
+					a.Probes, k+1, a.ForecastSD[k], a.ForecastSD[k-1])
+			}
+		}
+	}
+	if base != nil {
+		return nil
+	}
+	if len(run.Forecast) < 2 {
+		return fmt.Errorf("%d forecast horizons recorded, want ≥ 2", len(run.Forecast))
+	}
+	if run.Forecast[0].Skill <= 0 {
+		return fmt.Errorf("recorded 1-step forecast skill %.4f not positive", run.Forecast[0].Skill)
+	}
+	for k := 1; k < len(run.Forecast); k++ {
+		if run.Forecast[k].MeanSD+1e-12 < run.Forecast[k-1].MeanSD {
+			return fmt.Errorf("forecast mean SD shrinks at horizon %d", run.Forecast[k].Horizon)
+		}
+	}
+	fmt.Fprintf(w, "rtsebench: temporal baseline sparse win %.1f%% (%d probes), %d SD curves monotone — ok\n",
+		sparse.WinPct, sparse.Probes, len(run.Ablation)+1)
+	return nil
 }

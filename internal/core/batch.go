@@ -178,6 +178,36 @@ type flight[T any] struct {
 	err  error
 }
 
+// shareFlight is the Batcher's request-level singleflight, keyed into one of
+// its flight maps under flightMu: the first caller for key runs fn and
+// publishes the result; a concurrent caller with the same key counts as
+// coalesced and waits for it, or for its own ctx — an expired follower
+// abandons only its own wait, never the leader's run.
+func shareFlight[K comparable, T any](ctx context.Context, b *Batcher, flights map[K]*flight[T], key K, fn func() (T, error)) (T, error) {
+	b.flightMu.Lock()
+	if f, ok := flights[key]; ok {
+		b.flightMu.Unlock()
+		b.sys.Obs().Batch.Coalesced.Inc()
+		select {
+		case <-f.done:
+			return f.res, f.err
+		case <-ctx.Done():
+			var zero T
+			return zero, ctx.Err()
+		}
+	}
+	f := &flight[T]{done: make(chan struct{})}
+	flights[key] = f
+	b.flightMu.Unlock()
+
+	f.res, f.err = fn()
+	b.flightMu.Lock()
+	delete(flights, key)
+	b.flightMu.Unlock()
+	close(f.done)
+	return f.res, f.err
+}
+
 // Estimate runs GSP at slot t from already-collected observations, like
 // System.EstimateCtx, with two amortizations: identical concurrent requests
 // (same slot, same observations) share one propagation, and every pass is
@@ -185,63 +215,23 @@ type flight[T any] struct {
 // around changed observations is swept. The result converges under the same
 // ε criterion as a cold run.
 func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	key := estimateDigest(t, observed)
-	pipe := b.sys.Obs()
-	b.flightMu.Lock()
-	if f, ok := b.estimate[key]; ok {
-		b.flightMu.Unlock()
-		pipe.Batch.Coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return gsp.Result{}, ctx.Err()
+	return shareFlight(ctx, b, b.estimate, estimateDigest(t, observed), func() (gsp.Result, error) {
+		res, err := b.sys.estimateStateWarm(ctx, b.sys.current(), t, observed, b.warmSeed(t))
+		if err == nil {
+			b.storeResult(t, res)
+			b.feedTemporal(t, observed, &res)
 		}
-	}
-	f := &flight[gsp.Result]{done: make(chan struct{})}
-	b.estimate[key] = f
-	b.flightMu.Unlock()
-
-	st := b.sys.current()
-	f.res, f.err = b.sys.estimateStateWarm(ctx, st, t, observed, b.warmSeed(t))
-	if f.err == nil {
-		b.storeResult(t, f.res)
-		b.feedTemporal(t, observed, &f.res)
-	}
-	b.flightMu.Lock()
-	delete(b.estimate, key)
-	b.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.err
+		return res, err
+	})
 }
 
 // Select solves OCS like System.SelectCtx, but identical concurrent requests
 // (same slot, roads, workers, budget, θ, selector, seed) share one solve —
 // the request-level singleflight in front of the oracle's row-level one.
 func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
-	key := selectDigest(req)
-	pipe := b.sys.Obs()
-	b.flightMu.Lock()
-	if f, ok := b.selects[key]; ok {
-		b.flightMu.Unlock()
-		pipe.Batch.Coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return ocs.Solution{}, ctx.Err()
-		}
-	}
-	f := &flight[ocs.Solution]{done: make(chan struct{})}
-	b.selects[key] = f
-	b.flightMu.Unlock()
-
-	f.res, f.err = b.sys.SelectCtx(ctx, req)
-	b.flightMu.Lock()
-	delete(b.selects, key)
-	b.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.err
+	return shareFlight(ctx, b, b.selects, selectDigest(req), func() (ocs.Solution, error) {
+		return b.sys.SelectCtx(ctx, req)
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ type Config struct {
 	PrewarmWorkers bool
 	// LegacyOracle selects the pre-PR-2 global-mutex correlation oracle.
 	// Retained exclusively as the perf-trajectory baseline for
-	// BenchmarkConcurrentQueries and `rtsebench -qps`; leave false in
+	// BenchmarkConcurrentQueries and `rtsebench -record qps`; leave false in
 	// production paths.
 	LegacyOracle bool
 }

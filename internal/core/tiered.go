@@ -105,27 +105,9 @@ func (b *Batcher) EstimateTier(ctx context.Context, tier qos.Tier, t tslot.Slot,
 // deliberately lossier than Estimate's digest-keyed singleflight — that is
 // what makes it a cheaper tier.
 func (b *Batcher) estimateSlotShared(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	b.flightMu.Lock()
-	if f, ok := b.slotFlight[t]; ok {
-		b.flightMu.Unlock()
-		b.sys.Obs().Batch.Coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return gsp.Result{}, ctx.Err()
-		}
-	}
-	f := &flight[gsp.Result]{done: make(chan struct{})}
-	b.slotFlight[t] = f
-	b.flightMu.Unlock()
-
-	f.res, f.err = b.Estimate(ctx, t, observed)
-	b.flightMu.Lock()
-	delete(b.slotFlight, t)
-	b.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.err
+	return shareFlight(ctx, b, b.slotFlight, t, func() (gsp.Result, error) {
+		return b.Estimate(ctx, t, observed)
+	})
 }
 
 // CachedResult returns the slot's most recent estimate from the warm LRU

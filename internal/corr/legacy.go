@@ -10,7 +10,7 @@ import (
 
 // MutexOracle is the pre-PR-2 correlation oracle: one global mutex over a
 // map[int][]float64 row cache. It is retained deliberately as the baseline
-// of the perf trajectory — BenchmarkConcurrentQueries and `rtsebench -qps`
+// of the perf trajectory — BenchmarkConcurrentQueries and `rtsebench -record qps`
 // run it head-to-head against the sharded Oracle so every future PR can
 // quantify its concurrency gains against the same reference point.
 //

@@ -117,7 +117,7 @@ func TestFitScalesDeterministic(t *testing.T) {
 }
 
 // TestCalibrationRestoresSystemState: the ablation installs noise and scales
-// for its sweep but must leave the shared System untouched — benchguard runs
+// for its sweep but must leave the shared System untouched — rtsebench -check runs
 // other gates on the same Env afterwards.
 func TestCalibrationRestoresSystemState(t *testing.T) {
 	env := calibEnv(t)

@@ -1,5 +1,5 @@
-// Package loadbench is the PR-6 load-replay harness behind `rtsebench -load`
-// and the `benchguard -pr6` gate. It replays a diurnal demand curve derived
+// Package loadbench is the PR-6 load-replay harness behind the load suite of
+// `rtsebench -record` and `rtsebench -check`. It replays a diurnal demand curve derived
 // from the speedgen profiles — congested (slow) slots are rush hours, and
 // rush hours are when dashboards, alerting and batch consumers all query at
 // once — against a real HTTP server with admission control enabled, and
@@ -14,8 +14,8 @@
 // signal measures, stays pinned to the curve. The peak offers a calibrated
 // multiple of MaxInFlight and the controller must shed; the trough stays
 // under capacity and must serve everything at full fidelity. Shed clients
-// back off briefly (a client that ignores 429s would busy-spin). Both
-// binaries run this same code, so the benchguard -pr6 gate's fresh
+// back off briefly (a client that ignores 429s would busy-spin). Recording
+// and gating run this same code, so the load gate's fresh
 // measurement matches the recorded BENCH_PR6.json baseline by construction.
 package loadbench
 

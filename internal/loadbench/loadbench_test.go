@@ -3,7 +3,7 @@ package loadbench
 import "testing"
 
 // TestRunReplay exercises one small replay end to end and checks the
-// structural invariants the benchguard gate relies on: alerting is never
+// structural invariants the rtsebench load gate relies on: alerting is never
 // shed, the class order holds, degraded tiers are labeled, and the server
 // recovers to full fidelity after the surge drains.
 func TestRunReplay(t *testing.T) {

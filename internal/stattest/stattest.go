@@ -5,7 +5,7 @@
 //
 // Everything is dependency-free (math.Erf / math.Erfinv) and deterministic,
 // so the same helpers back the server's interval math, the experiments'
-// CalibrationAblation, the benchguard -pr9 gate and the golden tests.
+// CalibrationAblation, the rtsebench calib gate and the golden tests.
 package stattest
 
 import (
