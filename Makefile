@@ -18,9 +18,12 @@ race:
 
 # The fault injector and the resilient pipeline promise bit-for-bit replay
 # under a fixed seed. Running every fault-related test twice in one process
-# catches hidden shared state (package-level RNGs, leaked counters).
+# catches hidden shared state (package-level RNGs, leaked counters). The
+# instrumented pipeline's exact-snapshot replay runs ten times, so a relapse
+# into scheduling-dependent counters fails here every time.
 fault-determinism:
 	$(GO) test -run Fault -count=2 ./...
+	$(GO) test -run 'PipelineDeterministic' -count=10 ./internal/core/
 
 # Concurrency regression suite for the online hot path: the CorrRow
 # singleflight (one Dijkstra under 32 hammering goroutines), the parallel

@@ -9,6 +9,7 @@ package repro
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -163,7 +164,7 @@ func BenchmarkFig4a_OCSObjective(b *testing.B) {
 func benchObserved(b *testing.B) map[int]float64 {
 	e := env(b)
 	pool := crowd.PlaceEverywhere(e.Net)
-	sol, err := e.Sys.Select(core.SelectRequest{
+	sol, err := e.Sys.Select(context.Background(), core.SelectRequest{
 		Slot: e.Slot, Roads: e.Query, WorkerRoads: pool.Roads(),
 		Budget: 20, Theta: 0.92, Selector: core.Hybrid, Seed: 1,
 	})
@@ -185,7 +186,7 @@ func BenchmarkFig4b_GSP(b *testing.B) {
 	observed := benchObserved(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Sys.Estimate(e.Slot, observed); err != nil {
+		if _, err := e.Sys.Estimate(context.Background(), e.Slot, observed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,7 +398,7 @@ func concurrentQueryBench(b *testing.B, sys *core.System, query, workerRoads []i
 					return
 				}
 				slot := tslot.Slot(int(i/benchSlotGroup) % benchSlotCount * 6)
-				if _, err := sys.Select(core.SelectRequest{
+				if _, err := sys.Select(context.Background(), core.SelectRequest{
 					Slot: slot, Roads: query, WorkerRoads: workerRoads,
 					Budget: 20, Theta: 0.92, Selector: core.Hybrid, Seed: i,
 				}); err != nil {
@@ -469,7 +470,7 @@ func BenchmarkConcurrentPipeline(b *testing.B) {
 							return
 						}
 						slot := tslot.Slot(int(i/benchSlotGroup)%benchSlotCount + 60)
-						_, err := sys.Query(core.QueryRequest{
+						_, err := sys.Query(context.Background(), core.QueryRequest{
 							Slot: slot, Roads: e.Query, Budget: 20, Theta: 0.92,
 							Workers: pool, Seed: i + 1,
 							Truth: func(r int) float64 { return e.Hist.At(day, slot, r) },

@@ -279,7 +279,7 @@ func cmdQuery(args []string) error {
 
 	anyFault := *dropout > 0 || *blackoutsRaw != "" || *late > 0 || *staleP > 0 || *garbage > 0
 	if !*resilient && !anyFault && *deadline == 0 {
-		res, err := sys.Query(core.QueryRequest{
+		res, err := sys.Query(context.Background(), core.QueryRequest{
 			Slot: slot, Roads: query, Budget: *budget, Theta: *theta,
 			Workers:  pool,
 			Selector: sel, Seed: *seed,

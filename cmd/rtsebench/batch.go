@@ -130,7 +130,7 @@ func driveBatch(fx *fixture, batchSize int, w io.Writer) (*batchReport, error) {
 	}
 	seqResults := make([]*core.QueryResult, batchSize)
 	for i := range seqResults {
-		if seqResults[i], err = seqSys.Query(mkReq()); err != nil {
+		if seqResults[i], err = seqSys.Query(context.Background(), mkReq()); err != nil {
 			return nil, fmt.Errorf("sequential query %d: %w", i, err)
 		}
 	}

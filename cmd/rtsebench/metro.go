@@ -162,7 +162,7 @@ func driveMetro(_ *fixture, size metroSize, w io.Writer) (*metroReport, error) {
 	for i, slot := range size.e2eSlots {
 		truth := func(r int) float64 { return profiles[r].Speed(slot) * 0.93 }
 		t0 := time.Now()
-		res, err := eng.Query(context.Background(), shard.QueryRequest{
+		res, err := eng.Query(context.Background(), core.QueryRequest{
 			Slot: slot, Roads: query, Budget: metroBudget, Theta: theta,
 			Workers: pool, Truth: truth, Seed: int64(i + 1),
 			Probe: crowd.ProbeConfig{NoiseSD: 0.02},
@@ -210,7 +210,7 @@ func driveMetro(_ *fixture, size metroSize, w io.Writer) (*metroReport, error) {
 // `duration` with the slot-cycling live-traffic pattern of the qps harness.
 func metroDrive(eng *shard.Engine, query, workerRoads []int, shards, clients int, duration time.Duration) (metroSweepRun, error) {
 	run, err := driveClients(clients, duration, func(i int64) error {
-		_, err := eng.Select(context.Background(), shard.SelectRequest{
+		_, err := eng.Select(context.Background(), core.SelectRequest{
 			Slot: tslot.Slot(int(i/metroSlotGroup) % metroSlotCount * 36), Roads: query, WorkerRoads: workerRoads,
 			Budget: metroBudget, Theta: theta, Selector: core.Hybrid, Seed: i,
 		})

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -225,7 +226,7 @@ func driveClients(clients int, duration time.Duration, do func(i int64) error) (
 // asks about "now" and now keeps moving.
 func qpsDrive(sys *core.System, query, workerRoads []int, clients int, duration time.Duration) (clientRun, error) {
 	return driveClients(clients, duration, func(i int64) error {
-		_, err := sys.Select(core.SelectRequest{
+		_, err := sys.Select(context.Background(), core.SelectRequest{
 			Slot: tslot.Slot(int(i/qpsSlotGroup) % qpsSlotCount * 6), Roads: query, WorkerRoads: workerRoads,
 			Budget: qpsBudget, Theta: theta, Selector: core.Hybrid, Seed: i,
 		})

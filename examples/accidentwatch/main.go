@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,7 +63,7 @@ func main() {
 	fmt.Println("time    probes  alerts")
 	for minute := 8 * 60; minute <= 11*60+30; minute += 30 {
 		slot := tslot.OfMinute(minute)
-		res, err := sys.Query(core.QueryRequest{
+		res, err := sys.Query(context.Background(), core.QueryRequest{
 			Slot: slot, Roads: all, Budget: 50, Theta: 0.92,
 			Workers: pool, Seed: int64(minute),
 			Probe: crowd.ProbeConfig{NoiseSD: 0.02, Seed: int64(minute)},

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -91,7 +92,7 @@ func main() {
 	// 3. Query through a campaign with 70% worker willingness.
 	camp := crowd.DefaultCampaign(54)
 	query := rng.Perm(net.N())[:12]
-	res, err := sys2.Query(core.QueryRequest{
+	res, err := sys2.Query(context.Background(), core.QueryRequest{
 		Slot: slot, Roads: query, Budget: 30, Theta: 0.92,
 		Workers:  crowd.PlaceEverywhere(net2),
 		Campaign: &camp,

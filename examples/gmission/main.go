@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -46,7 +47,7 @@ func main() {
 
 	fmt.Printf("%6s %8s %8s %8s\n", "K", "probed", "MAPE", "FER")
 	for _, k := range []int{10, 20, 30, 40, 50} {
-		res, err := sys.Query(core.QueryRequest{
+		res, err := sys.Query(context.Background(), core.QueryRequest{
 			Slot: slot, Roads: query, Budget: k, Theta: 0.92,
 			Workers: pool, Seed: int64(k),
 			Probe: crowd.ProbeConfig{NoiseSD: 0.02, Seed: int64(k)},

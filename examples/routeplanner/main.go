@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,7 +74,7 @@ func main() {
 	for i := range all {
 		all[i] = i
 	}
-	res, err := sys.Query(core.QueryRequest{
+	res, err := sys.Query(context.Background(), core.QueryRequest{
 		Slot: slot, Roads: all, Budget: 60, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 33},

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,7 +73,7 @@ func main() {
 	}
 	slot := tslot.OfMinute(8*60 + 30)
 	query := []int{2, 11, 25, 37, 48, 59, 73, 88, 97, 110}
-	res, err := sys.Query(core.QueryRequest{
+	res, err := sys.Query(context.Background(), core.QueryRequest{
 		Slot: slot, Roads: query, Budget: 20, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 64},

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -57,7 +58,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	w := buildWorld(t, 120, 10, 100)
 	slot := tslot.OfMinute(8*60 + 30)
 	query := []int{3, 17, 29, 41, 57, 66, 81, 99, 104, 118}
-	res, err := w.sys.Query(core.QueryRequest{
+	res, err := w.sys.Query(context.Background(), core.QueryRequest{
 		Slot: slot, Roads: query, Budget: 30, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(w.net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 101},
@@ -110,11 +111,11 @@ func TestEndToEndModelRoundTrip(t *testing.T) {
 	}
 	slot := tslot.Slot(140)
 	obs := map[int]float64{2: 33.0, 17: 51.5}
-	a, err := w.sys.Estimate(slot, obs)
+	a, err := w.sys.Estimate(context.Background(), slot, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sys2.Estimate(slot, obs)
+	b, err := sys2.Estimate(context.Background(), slot, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestEndToEndRoutingAndDetection(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	res, err := w.sys.Query(core.QueryRequest{
+	res, err := w.sys.Query(context.Background(), core.QueryRequest{
 		Slot: slot, Roads: all, Budget: 40, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(w.net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 141},

@@ -34,17 +34,14 @@ type AdaptiveResult struct {
 // only fulfilled tasks join the observation set, and stage k derives its
 // campaign seed from the base seed so the stages draw independent but
 // reproducible willingness sequences.
-func (s *System) QueryAdaptive(req QueryRequest, targetSD float64, stages int) (*AdaptiveResult, error) {
-	return s.QueryAdaptiveCtx(context.Background(), req, targetSD, stages)
-}
-
-// QueryAdaptiveCtx is QueryAdaptive under a deadline: an expired context
-// stops opening new stages and lets GSP return its best-so-far field.
-func (s *System) QueryAdaptiveCtx(ctx context.Context, req QueryRequest, targetSD float64, stages int) (*AdaptiveResult, error) {
+//
+// An expired context stops opening new stages and lets GSP return its
+// best-so-far field.
+func (s *System) QueryAdaptive(ctx context.Context, req QueryRequest, targetSD float64, stages int) (*AdaptiveResult, error) {
 	pipe := s.Obs()
 	pipe.QueriesAdaptive.Inc()
 	queryStart := pipe.Clock.Now()
-	res, err := s.queryAdaptiveCtx(ctx, pipe, req, targetSD, stages)
+	res, err := s.queryAdaptive(ctx, pipe, req, targetSD, stages)
 	pipe.QueryLatency.Observe(pipe.Clock.Since(queryStart))
 	if err != nil {
 		pipe.QueryErrors.Inc()
@@ -54,34 +51,20 @@ func (s *System) QueryAdaptiveCtx(ctx context.Context, req QueryRequest, targetS
 	return res, err
 }
 
-func (s *System) queryAdaptiveCtx(ctx context.Context, pipe *obs.Pipeline, req QueryRequest, targetSD float64, stages int) (*AdaptiveResult, error) {
+func (s *System) queryAdaptive(ctx context.Context, pipe *obs.Pipeline, req QueryRequest, targetSD float64, stages int) (*AdaptiveResult, error) {
+	if err := req.Validate(s.net.N()); err != nil {
+		return nil, err
+	}
 	if stages <= 0 {
 		return nil, fmt.Errorf("core: stages must be positive, got %d", stages)
 	}
 	if targetSD < 0 {
 		return nil, fmt.Errorf("core: negative target SD %v", targetSD)
 	}
-	if req.Workers == nil || req.Truth == nil {
-		return nil, fmt.Errorf("core: adaptive query needs workers and a truth source")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("core: invalid slot %d", req.Slot)
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	probeCfg := req.Probe
-	if probeCfg.Seed == 0 {
-		probeCfg.Seed = req.Seed
-	}
-	var campBase *crowd.CampaignConfig
-	if req.Campaign != nil {
-		c := *req.Campaign
-		if c.Seed == 0 {
-			c.Seed = req.Seed
-		}
-		campBase = &c
-	}
+	probeCfg, campBase := req.seeded()
 	ledger := crowd.Ledger{Budget: req.Budget}
 	observed := make(map[int]float64)
 	var answers []crowd.Answer
@@ -162,7 +145,7 @@ func (s *System) queryAdaptiveCtx(ctx context.Context, pipe *obs.Pipeline, req Q
 			observeProbeRound(pipe, obs.FromContext(ctx), probeStart,
 				len(answers)-answersBefore, ledger.Spent-spentBefore)
 		}
-		prop, err := s.estimateState(ctx, st, req.Slot, observed)
+		prop, err := s.estimateState(ctx, st, req.Slot, observed, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: GSP stage %d: %w", stage, err)
 		}
@@ -173,9 +156,6 @@ func (s *System) queryAdaptiveCtx(ctx context.Context, pipe *obs.Pipeline, req Q
 
 		out.MaxQuerySD = 0
 		for _, r := range req.Roads {
-			if r < 0 || r >= len(prop.SD) {
-				return nil, fmt.Errorf("core: queried road %d out of range", r)
-			}
 			if prop.SD[r] > out.MaxQuerySD {
 				out.MaxQuerySD = prop.SD[r]
 			}
@@ -187,7 +167,7 @@ func (s *System) queryAdaptiveCtx(ctx context.Context, pipe *obs.Pipeline, req Q
 	if !ranStage {
 		// Degenerate inputs (e.g. every stage budget rounded to zero):
 		// return the prior field rather than a nil-speeds result.
-		prop, err := s.estimateState(ctx, st, req.Slot, observed)
+		prop, err := s.estimateState(ctx, st, req.Slot, observed, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: GSP: %w", err)
 		}
@@ -198,12 +178,6 @@ func (s *System) queryAdaptiveCtx(ctx context.Context, pipe *obs.Pipeline, req Q
 	out.Answers = answers
 	out.Ledger = ledger
 	out.Campaign = campaign
-	out.QuerySpeeds = make(map[int]float64, len(req.Roads))
-	for _, r := range req.Roads {
-		if r < 0 || r >= len(out.Speeds) {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
-		out.QuerySpeeds[r] = out.Speeds[r]
-	}
+	out.QuerySpeeds = QuerySpeeds(out.Speeds, req.Roads)
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/crowd"
@@ -14,20 +15,20 @@ func TestQueryAdaptiveValidation(t *testing.T) {
 		Slot: 100, Roads: []int{1, 2}, Budget: 10, Theta: 0.92,
 		Workers: pool, Truth: f.truth(f.hist.Days-1, 100),
 	}
-	if _, err := f.sys.QueryAdaptive(req, 1, 0); err == nil {
+	if _, err := f.sys.QueryAdaptive(context.Background(), req, 1, 0); err == nil {
 		t.Error("zero stages accepted")
 	}
-	if _, err := f.sys.QueryAdaptive(req, -1, 2); err == nil {
+	if _, err := f.sys.QueryAdaptive(context.Background(), req, -1, 2); err == nil {
 		t.Error("negative target accepted")
 	}
 	bad := req
 	bad.Workers = nil
-	if _, err := f.sys.QueryAdaptive(bad, 1, 2); err == nil {
+	if _, err := f.sys.QueryAdaptive(context.Background(), bad, 1, 2); err == nil {
 		t.Error("nil workers accepted")
 	}
 	bad = req
 	bad.Slot = 999
-	if _, err := f.sys.QueryAdaptive(bad, 1, 2); err == nil {
+	if _, err := f.sys.QueryAdaptive(context.Background(), bad, 1, 2); err == nil {
 		t.Error("bad slot accepted")
 	}
 }
@@ -42,7 +43,7 @@ func TestQueryAdaptiveStopsEarlyOnLooseTarget(t *testing.T) {
 		Workers: pool, Truth: f.truth(day, slot), Seed: 42,
 	}
 	// Loose target: the prior σ already satisfies it → a single stage.
-	loose, err := f.sys.QueryAdaptive(req, 1e9, 4)
+	loose, err := f.sys.QueryAdaptive(context.Background(), req, 1e9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestQueryAdaptiveStopsEarlyOnLooseTarget(t *testing.T) {
 	}
 	// Strict target: keeps spending until the uncertainty hits zero (every
 	// queried road probed) or the stages run out.
-	strict, err := f.sys.QueryAdaptive(req, 0, 4)
+	strict, err := f.sys.QueryAdaptive(context.Background(), req, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestQueryAdaptiveObservationsAccumulate(t *testing.T) {
 		Slot: slot, Roads: []int{1, 7, 13, 22, 31, 40}, Budget: 30, Theta: 0.92,
 		Workers: pool, Truth: f.truth(day, slot), Seed: 44,
 	}
-	res, err := f.sys.QueryAdaptive(req, 0, 3)
+	res, err := f.sys.QueryAdaptive(context.Background(), req, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestQueryAdaptiveBudgetBelowCheapestCost(t *testing.T) {
 	if req.Budget <= 0 {
 		t.Skip("synthetic network has a cost-1 road; nothing cheaper to test")
 	}
-	res, err := f.sys.QueryAdaptive(req, 0, 4)
+	res, err := f.sys.QueryAdaptive(context.Background(), req, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestQueryAdaptiveWithCampaign(t *testing.T) {
 		Workers: crowd.NewPool(ws), Truth: f.truth(day, slot), Seed: 48,
 		Campaign: &camp,
 	}
-	res, err := f.sys.QueryAdaptive(req, 0, 3)
+	res, err := f.sys.QueryAdaptive(context.Background(), req, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestQueryAdaptiveWithCampaign(t *testing.T) {
 	lazy.AcceptProb = 0
 	reqLazy := req
 	reqLazy.Campaign = &lazy
-	res2, err := f.sys.QueryAdaptive(reqLazy, 0, 3)
+	res2, err := f.sys.QueryAdaptive(context.Background(), reqLazy, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,14 +209,14 @@ func shareFlight[K comparable, T any](ctx context.Context, b *Batcher, flights m
 }
 
 // Estimate runs GSP at slot t from already-collected observations, like
-// System.EstimateCtx, with two amortizations: identical concurrent requests
+// System.Estimate, with two amortizations: identical concurrent requests
 // (same slot, same observations) share one propagation, and every pass is
 // warm-started from the slot's previous estimate so only the dirty frontier
 // around changed observations is swept. The result converges under the same
 // ε criterion as a cold run.
 func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
 	return shareFlight(ctx, b, b.estimate, estimateDigest(t, observed), func() (gsp.Result, error) {
-		res, err := b.sys.estimateStateWarm(ctx, b.sys.current(), t, observed, b.warmSeed(t))
+		res, err := b.sys.estimateState(ctx, b.sys.current(), t, observed, b.warmSeed(t))
 		if err == nil {
 			b.storeResult(t, res)
 			b.feedTemporal(t, observed, &res)
@@ -225,12 +225,12 @@ func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]f
 	})
 }
 
-// Select solves OCS like System.SelectCtx, but identical concurrent requests
+// Select solves OCS like System.Select, but identical concurrent requests
 // (same slot, roads, workers, budget, θ, selector, seed) share one solve —
 // the request-level singleflight in front of the oracle's row-level one.
 func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
 	return shareFlight(ctx, b, b.selects, selectDigest(req), func() (ocs.Solution, error) {
-		return b.sys.SelectCtx(ctx, req)
+		return b.sys.Select(ctx, req)
 	})
 }
 
@@ -272,20 +272,8 @@ type batchGroup struct {
 // expired context abandons the shared pass for this caller without
 // cancelling it for the group.
 func (b *Batcher) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	if req.Workers == nil {
-		return nil, fmt.Errorf("core: query without a worker pool")
-	}
-	if req.Truth == nil {
-		return nil, fmt.Errorf("core: query without a truth source (workers need speeds to report)")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("core: invalid slot %d", req.Slot)
-	}
-	n := b.sys.net.N()
-	for _, r := range req.Roads {
-		if r < 0 || r >= n {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
+	if err := req.Validate(b.sys.net.N()); err != nil {
+		return nil, err
 	}
 	g := b.join(req)
 	select {
@@ -296,7 +284,10 @@ func (b *Batcher) Query(ctx context.Context, req QueryRequest) (*QueryResult, er
 	if g.err != nil {
 		return nil, g.err
 	}
-	return sliceShared(g.shared, req.Roads)
+	// The shared maps and slices are aliased, not copied.
+	out := *g.shared
+	out.QuerySpeeds = QuerySpeeds(out.Speeds, req.Roads)
+	return &out, nil
 }
 
 // join adds req to the slot's pending group, creating it (and arming its
@@ -360,40 +351,11 @@ func (b *Batcher) run(g *batchGroup) {
 	// The shared pass runs under its own context: one member's deadline must
 	// not cancel the answer every other member is waiting for.
 	st := b.sys.current()
-	g.shared, g.err = b.sys.querySharedState(context.Background(), st, merged, b.warmSeed(merged.Slot))
+	g.shared, g.err = b.sys.queryState(context.Background(), st, merged, b.warmSeed(merged.Slot))
 	if g.err == nil {
 		b.storeResult(merged.Slot, g.shared.Propagation)
 		b.feedTemporal(merged.Slot, g.shared.Propagation.Observed, &g.shared.Propagation)
 	}
-}
-
-// querySharedState is queryCtx pinned to a model state with a warm-start
-// seed for the GSP stage — the shared-pass body of the Batcher.
-func (s *System) querySharedState(ctx context.Context, st *modelState, req QueryRequest, initial *gsp.Result) (*QueryResult, error) {
-	pipe := s.Obs()
-	pipe.Queries.Inc()
-	queryStart := pipe.Clock.Now()
-	res, err := s.queryStateWarm(ctx, pipe, st, req, initial)
-	pipe.QueryLatency.Observe(pipe.Clock.Since(queryStart))
-	if err != nil {
-		pipe.QueryErrors.Inc()
-	}
-	return res, err
-}
-
-// sliceShared views a shared result through one member's road set. The
-// shared maps and slices are aliased, not copied.
-func sliceShared(shared *QueryResult, roads []int) (*QueryResult, error) {
-	qs := make(map[int]float64, len(roads))
-	for _, r := range roads {
-		if r < 0 || r >= len(shared.Speeds) {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
-		qs[r] = shared.Speeds[r]
-	}
-	out := *shared
-	out.QuerySpeeds = qs
-	return &out, nil
 }
 
 // unionRoads merges the members' queried road sets, sorted ascending so the

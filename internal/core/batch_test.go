@@ -49,7 +49,7 @@ func TestBatchVsSequentialEquivalence(t *testing.T) {
 	seqSys, seqPipe := instrumented(t, f)
 	var seqResults []*QueryResult
 	for i := 0; i < batch; i++ {
-		res, err := seqSys.Query(mkReq())
+		res, err := seqSys.Query(context.Background(), mkReq())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestBatcherEstimateWarmStart(t *testing.T) {
 		t.Errorf("warm-start counter = %d, want 1", got)
 	}
 	// Equivalence with a cold run over obsB.
-	coldB, err := sys.Estimate(slot, obsB)
+	coldB, err := sys.Estimate(context.Background(), slot, obsB)
 	if err != nil {
 		t.Fatal(err)
 	}

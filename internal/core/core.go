@@ -7,7 +7,7 @@
 // Typical use:
 //
 //	sys, err := core.Train(net, history, core.DefaultConfig())
-//	res, err := sys.Query(core.QueryRequest{
+//	res, err := sys.Query(ctx, core.QueryRequest{
 //		Slot: slot, Roads: queried, Budget: 60, Theta: 0.92,
 //		Workers: pool, Truth: truth,
 //	})
@@ -317,18 +317,12 @@ type SelectRequest struct {
 // oracle's query rows (the greedy correlation table) through the parallel
 // warm pool — and the worker rows too when Config.PrewarmWorkers is set — so
 // concurrent queries sharing a slot find the rows resident instead of
-// recomputing them.
-func (s *System) Select(req SelectRequest) (ocs.Solution, error) {
-	return s.SelectCtx(context.Background(), req)
-}
-
-// SelectCtx is Select under a context: a trace attached to ctx receives an
-// "ocs_select" span.
-func (s *System) SelectCtx(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
+// recomputing them. A trace attached to ctx receives an "ocs_select" span.
+func (s *System) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
 	return s.selectState(ctx, s.current(), req)
 }
 
-// selectState is SelectCtx pinned to one model state, so a query's OCS solve
+// selectState is Select pinned to one model state, so a query's OCS solve
 // and GSP propagation cannot straddle a hot-swap. The solve counts into the
 // attached instrument set via ocs.Problem.Metrics.
 func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequest) (ocs.Solution, error) {
@@ -390,29 +384,18 @@ func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequ
 
 // Estimate runs GSP at slot t from already-collected observations,
 // returning the full-network speed field. Use Query for the complete
-// select-probe-propagate pipeline.
-func (s *System) Estimate(t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	return s.EstimateCtx(context.Background(), t, observed)
+// select-probe-propagate pipeline. When ctx expires, GSP stops sweeping and
+// returns the best-so-far field with Result.Aborted set.
+func (s *System) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
+	return s.estimateState(ctx, s.current(), t, observed, nil)
 }
 
-// EstimateCtx is Estimate under a deadline: when ctx expires, GSP stops
-// sweeping and returns the best-so-far field with Result.Aborted set.
-func (s *System) EstimateCtx(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	return s.estimateState(ctx, s.current(), t, observed)
-}
-
-// estimateState is EstimateCtx pinned to one model state. The propagation
-// counts into the attached instrument set and records a "gsp" span on any
-// trace carried by ctx.
-func (s *System) estimateState(ctx context.Context, st *modelState, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	return s.estimateStateWarm(ctx, st, t, observed, nil)
-}
-
-// estimateStateWarm is estimateState with an optional warm-start seed: when
-// initial is a previous full-network estimate, GSP runs the incremental
-// dirty-frontier engine (gsp.Options.WithInitial) instead of a cold pass.
-// The Batcher threads its per-slot previous results through here.
-func (s *System) estimateStateWarm(ctx context.Context, st *modelState, t tslot.Slot, observed map[int]float64, initial *gsp.Result) (gsp.Result, error) {
+// estimateState is Estimate pinned to one model state, with an optional
+// warm-start seed: when initial is a previous full-network estimate, GSP runs
+// the incremental dirty-frontier engine (gsp.Options.WithInitial) instead of
+// a cold pass. The propagation counts into the attached instrument set and
+// records a "gsp" span on any trace carried by ctx.
+func (s *System) estimateState(ctx context.Context, st *modelState, t tslot.Slot, observed map[int]float64, initial *gsp.Result) (gsp.Result, error) {
 	opt := s.cfg.GSP
 	opt.Metrics = &s.Obs().GSP
 	// Thread the heteroscedastic uncertainty knobs (PR 9) into every run:
@@ -461,20 +444,95 @@ type QueryResult struct {
 	Campaign *crowd.CampaignReport
 }
 
-// Query executes the online pipeline: OCS → crowd probing → GSP.
-func (s *System) Query(req QueryRequest) (*QueryResult, error) {
-	return s.QueryCtx(context.Background(), req)
+// Validate checks the request against a network of n roads: it needs a worker
+// pool and a truth source, a valid slot, and queried roads in [0, n). Every
+// query entry point runs it before any OCS work, so a bad request computes no
+// correlation row.
+func (req QueryRequest) Validate(n int) error {
+	if req.Workers == nil {
+		return fmt.Errorf("core: query without a worker pool")
+	}
+	if req.Truth == nil {
+		return fmt.Errorf("core: query without a truth source (workers need speeds to report)")
+	}
+	if !req.Slot.Valid() {
+		return fmt.Errorf("core: invalid slot %d", req.Slot)
+	}
+	for _, r := range req.Roads {
+		if r < 0 || r >= n {
+			return fmt.Errorf("core: queried road %d out of range", r)
+		}
+	}
+	return nil
 }
 
-// QueryCtx is Query under a deadline: an expired context aborts the GSP
-// sweeps early (best-so-far field, Propagation.Aborted set) rather than
-// failing the query. For retry rounds and degraded-mode fallbacks use
-// QueryResilient.
-func (s *System) QueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, error) {
+// seeded returns the request's probe configuration and a copy of its
+// campaign configuration (nil for a direct probe), each seeded by req.Seed
+// unless it pins its own seed.
+func (req QueryRequest) seeded() (crowd.ProbeConfig, *crowd.CampaignConfig) {
+	probe := req.Probe
+	if probe.Seed == 0 {
+		probe.Seed = req.Seed
+	}
+	if req.Campaign == nil {
+		return probe, nil
+	}
+	camp := *req.Campaign
+	if camp.Seed == 0 {
+		camp.Seed = req.Seed
+	}
+	return probe, &camp
+}
+
+// Crowdsource probes the selected roads through the request's worker pool,
+// charging ledger: a direct probe, or the full task lifecycle when
+// req.Campaign is set (only fulfilled tasks are returned as probed). The
+// campaign report is nil for a direct probe.
+func (req QueryRequest) Crowdsource(roads, costs []int, ledger *crowd.Ledger) (map[int]float64, []crowd.Answer, *crowd.CampaignReport, error) {
+	probe, camp := req.seeded()
+	if camp == nil {
+		probed, answers, err := req.Workers.Probe(roads, costs, req.Truth, probe, ledger)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("core: probing: %w", err)
+		}
+		return probed, answers, nil, nil
+	}
+	probed, rep, err := req.Workers.RunCampaign(roads, costs, req.Truth, *camp, ledger)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: campaign: %w", err)
+	}
+	return probed, rep.Answers, rep, nil
+}
+
+// QuerySpeeds restricts a full-network field to the queried roads, which
+// Validate has already checked against the field's length.
+func QuerySpeeds(speeds []float64, roads []int) map[int]float64 {
+	qs := make(map[int]float64, len(roads))
+	for _, r := range roads {
+		qs[r] = speeds[r]
+	}
+	return qs
+}
+
+// Query executes the online pipeline: OCS → crowd probing → GSP. An expired
+// context aborts the GSP sweeps early (best-so-far field, Propagation.Aborted
+// set) rather than failing the query. For retry rounds and degraded-mode
+// fallbacks use QueryResilient.
+func (s *System) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
+	// Pin one model generation for the whole query: selection and
+	// propagation must see the same parameters even if a hot-swap lands
+	// mid-query (RCU — the swap retires this state only after we drop it).
+	return s.queryState(ctx, s.current(), req, nil)
+}
+
+// queryState is the instrumented online pipeline pinned to one model state,
+// optionally seeding GSP with a previous full-network estimate — Query's body
+// and the Batcher's shared pass.
+func (s *System) queryState(ctx context.Context, st *modelState, req QueryRequest, initial *gsp.Result) (*QueryResult, error) {
 	pipe := s.Obs()
 	pipe.Queries.Inc()
 	queryStart := pipe.Clock.Now()
-	res, err := s.queryCtx(ctx, pipe, req)
+	res, err := s.runQuery(ctx, pipe, st, req, initial)
 	pipe.QueryLatency.Observe(pipe.Clock.Since(queryStart))
 	if err != nil {
 		pipe.QueryErrors.Inc()
@@ -482,31 +540,10 @@ func (s *System) QueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, 
 	return res, err
 }
 
-func (s *System) queryCtx(ctx context.Context, pipe *obs.Pipeline, req QueryRequest) (*QueryResult, error) {
-	// Pin one model generation for the whole query: selection and
-	// propagation must see the same parameters even if a hot-swap lands
-	// mid-query (RCU — the swap retires this state only after we drop it).
-	return s.queryStateWarm(ctx, pipe, s.current(), req, nil)
-}
-
-// queryStateWarm is the shared online pipeline body: OCS → probe → GSP,
-// pinned to one model state, optionally seeding GSP with a previous
-// full-network estimate (the Batcher's warm-start path).
-func (s *System) queryStateWarm(ctx context.Context, pipe *obs.Pipeline, st *modelState, req QueryRequest, initial *gsp.Result) (*QueryResult, error) {
-	if req.Workers == nil {
-		return nil, fmt.Errorf("core: query without a worker pool")
+func (s *System) runQuery(ctx context.Context, pipe *obs.Pipeline, st *modelState, req QueryRequest, initial *gsp.Result) (*QueryResult, error) {
+	if err := req.Validate(s.net.N()); err != nil {
+		return nil, err
 	}
-	if req.Truth == nil {
-		return nil, fmt.Errorf("core: query without a truth source (workers need speeds to report)")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("core: invalid slot %d", req.Slot)
-	}
-	probeCfg := req.Probe
-	if probeCfg.Seed == 0 {
-		probeCfg.Seed = req.Seed
-	}
-
 	sol, err := s.selectState(ctx, st, SelectRequest{
 		Slot: req.Slot, Roads: req.Roads, WorkerRoads: req.Workers.Roads(),
 		Budget: req.Budget, Theta: req.Theta, Selector: req.Selector, Seed: req.Seed,
@@ -514,57 +551,32 @@ func (s *System) queryStateWarm(ctx context.Context, pipe *obs.Pipeline, st *mod
 	if err != nil {
 		return nil, fmt.Errorf("core: OCS: %w", err)
 	}
-	tr := obs.FromContext(ctx)
 	probeStart := pipe.Clock.Now()
 	ledger := crowd.Ledger{Budget: req.Budget}
-	var probed map[int]float64
-	var answers []crowd.Answer
-	var campaignReport *crowd.CampaignReport
-	if req.Campaign != nil {
-		campCfg := *req.Campaign
-		if campCfg.Seed == 0 {
-			// Mirror the Probe path: the request seed drives the campaign
-			// unless the campaign pins its own.
-			campCfg.Seed = req.Seed
-		}
-		probed, campaignReport, err = req.Workers.RunCampaign(sol.Roads, s.net.Costs(), req.Truth, campCfg, &ledger)
-		if err != nil {
-			return nil, fmt.Errorf("core: campaign: %w", err)
-		}
-		answers = campaignReport.Answers
-	} else {
-		probed, answers, err = req.Workers.Probe(sol.Roads, s.net.Costs(), req.Truth, probeCfg, &ledger)
-		if err != nil {
-			return nil, fmt.Errorf("core: probing: %w", err)
-		}
+	probed, answers, campaign, err := req.Crowdsource(sol.Roads, s.net.Costs(), &ledger)
+	if err != nil {
+		return nil, err
 	}
-	observeProbeRound(pipe, tr, probeStart, len(answers), ledger.Spent)
+	observeProbeRound(pipe, obs.FromContext(ctx), probeStart, len(answers), ledger.Spent)
 	if len(probed) == 0 {
 		pipe.QueryDegraded.Inc()
 	}
-	prop, err := s.estimateStateWarm(ctx, st, req.Slot, probed, initial)
+	prop, err := s.estimateState(ctx, st, req.Slot, probed, initial)
 	if err != nil {
 		return nil, fmt.Errorf("core: GSP: %w", err)
 	}
 	if prop.Aborted {
 		pipe.QueryDeadline.Inc()
 	}
-	qs := make(map[int]float64, len(req.Roads))
-	for _, r := range req.Roads {
-		if r < 0 || r >= len(prop.Speeds) {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
-		qs[r] = prop.Speeds[r]
-	}
 	return &QueryResult{
 		Selected:    sol,
 		Probed:      probed,
 		Answers:     answers,
 		Speeds:      prop.Speeds,
-		QuerySpeeds: qs,
+		QuerySpeeds: QuerySpeeds(prop.Speeds, req.Roads),
 		Propagation: prop,
 		Ledger:      ledger,
-		Campaign:    campaignReport,
+		Campaign:    campaign,
 	}, nil
 }
 
@@ -585,7 +597,7 @@ func (g *GSPEstimator) Name() string { return "GSP" }
 
 // Estimate implements baselines.Estimator.
 func (g *GSPEstimator) Estimate(observed map[int]float64) ([]float64, error) {
-	res, err := g.sys.Estimate(g.slot, observed)
+	res, err := g.sys.Estimate(context.TODO(), g.slot, observed)
 	if err != nil {
 		return nil, err
 	}

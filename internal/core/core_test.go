@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -100,7 +101,7 @@ func TestQueryPipeline(t *testing.T) {
 	query := []int{3, 9, 14, 21, 30, 44, 52, 61, 70, 77}
 	pool := crowd.PlaceEverywhere(f.net)
 
-	res, err := f.sys.Query(QueryRequest{
+	res, err := f.sys.Query(context.Background(), QueryRequest{
 		Slot: slot, Roads: query, Budget: 30, Theta: 0.92,
 		Workers: pool, Truth: f.truth(day, slot), Seed: 5,
 	})
@@ -136,19 +137,19 @@ func TestQueryValidation(t *testing.T) {
 	f := newFixture(t, 20, 4, 6)
 	pool := crowd.PlaceEverywhere(f.net)
 	truth := f.truth(0, 0)
-	if _, err := f.sys.Query(QueryRequest{Slot: 0, Roads: []int{1}, Budget: 5, Theta: 1, Workers: nil, Truth: truth}); err == nil {
+	if _, err := f.sys.Query(context.Background(), QueryRequest{Slot: 0, Roads: []int{1}, Budget: 5, Theta: 1, Workers: nil, Truth: truth}); err == nil {
 		t.Error("nil pool accepted")
 	}
-	if _, err := f.sys.Query(QueryRequest{Slot: 0, Roads: []int{1}, Budget: 5, Theta: 1, Workers: pool, Truth: nil}); err == nil {
+	if _, err := f.sys.Query(context.Background(), QueryRequest{Slot: 0, Roads: []int{1}, Budget: 5, Theta: 1, Workers: pool, Truth: nil}); err == nil {
 		t.Error("nil truth accepted")
 	}
-	if _, err := f.sys.Query(QueryRequest{Slot: 999, Roads: []int{1}, Budget: 5, Theta: 1, Workers: pool, Truth: truth}); err == nil {
+	if _, err := f.sys.Query(context.Background(), QueryRequest{Slot: 999, Roads: []int{1}, Budget: 5, Theta: 1, Workers: pool, Truth: truth}); err == nil {
 		t.Error("invalid slot accepted")
 	}
-	if _, err := f.sys.Query(QueryRequest{Slot: 0, Roads: []int{1}, Budget: 0, Theta: 1, Workers: pool, Truth: truth}); err == nil {
+	if _, err := f.sys.Query(context.Background(), QueryRequest{Slot: 0, Roads: []int{1}, Budget: 0, Theta: 1, Workers: pool, Truth: truth}); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := f.sys.Select(SelectRequest{Slot: 0, Roads: []int{1}, WorkerRoads: pool.Roads(), Budget: 5, Theta: 1, Selector: Selector(42)}); err == nil {
+	if _, err := f.sys.Select(context.Background(), SelectRequest{Slot: 0, Roads: []int{1}, WorkerRoads: pool.Roads(), Budget: 5, Theta: 1, Selector: Selector(42)}); err == nil {
 		t.Error("unknown selector accepted")
 	}
 }
@@ -163,7 +164,7 @@ func TestQueryBeatsPeriodicBaseline(t *testing.T) {
 	query := rng.Perm(f.net.N())[:30]
 	pool := crowd.PlaceEverywhere(f.net)
 
-	res, err := f.sys.Query(QueryRequest{
+	res, err := f.sys.Query(context.Background(), QueryRequest{
 		Slot: slot, Roads: query, Budget: 60, Theta: 0.92,
 		Workers: pool, Truth: f.truth(day, slot), Seed: 9,
 		Probe: crowd.ProbeConfig{NoiseSD: 0.02},
@@ -200,7 +201,7 @@ func TestHybridSelectionBeatsRandomForGSP(t *testing.T) {
 	days := []int{f.hist.Days - 1, f.hist.Days - 2, f.hist.Days - 3}
 	for _, day := range days {
 		for _, sel := range []Selector{Hybrid, RandomSel} {
-			res, err := f.sys.Query(QueryRequest{
+			res, err := f.sys.Query(context.Background(), QueryRequest{
 				Slot: slot, Roads: query, Budget: 25, Theta: 0.92,
 				Workers: pool, Truth: f.truth(day, slot), Seed: int64(day),
 				Selector: sel,
@@ -233,7 +234,7 @@ func TestQueryWithCampaign(t *testing.T) {
 	camp := crowd.DefaultCampaign(21)
 	camp.AcceptProb = 1
 	camp.MaxRounds = 10
-	res, err := f.sys.Query(QueryRequest{
+	res, err := f.sys.Query(context.Background(), QueryRequest{
 		Slot: slot, Roads: []int{2, 9, 17, 30}, Budget: 20, Theta: 0.92,
 		Workers:  crowd.PlaceEverywhere(f.net),
 		Campaign: &camp,
@@ -258,7 +259,7 @@ func TestQueryWithCampaign(t *testing.T) {
 	// toward the periodic means (no probes).
 	lazy := crowd.DefaultCampaign(22)
 	lazy.AcceptProb = 0
-	res2, err := f.sys.Query(QueryRequest{
+	res2, err := f.sys.Query(context.Background(), QueryRequest{
 		Slot: slot, Roads: []int{2, 9}, Budget: 20, Theta: 0.92,
 		Workers:  crowd.PlaceEverywhere(f.net),
 		Campaign: &lazy,
@@ -305,7 +306,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			slot := tslot.Slot(10 * (i + 1))
-			_, err := f.sys.Query(QueryRequest{
+			_, err := f.sys.Query(context.Background(), QueryRequest{
 				Slot: slot, Roads: []int{1, 5, 9}, Budget: 10, Theta: 0.92,
 				Workers: pool, Truth: f.truth(day, slot), Seed: int64(i),
 			})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,10 +26,22 @@ type scriptOutcome struct {
 
 // runScriptedQueries builds a fresh fixture on a FakeClock-backed pipeline
 // and drives a fixed query mix through every pipeline flavor. Deterministic:
-// same inputs, same seeds, same FakeClock steps.
+// same inputs, same seeds, same FakeClock steps. The run is pinned to one OS
+// thread and the sequential OCS solver: the parallel oracle warm pool and the
+// concurrent Hybrid passes would otherwise interleave FakeClock ticks and
+// singleflight waits, so row timings and cache hit/wait counts would vary
+// from run to run. Neither pin alone is enough on a multi-core host.
 func runScriptedQueries(t *testing.T) scriptOutcome {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f := newFixture(t, 40, 5, 11)
+	cfg := DefaultConfig()
+	cfg.ParallelOCS = false
+	sys, err := NewFromModel(f.net, f.sys.Model(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.sys = sys
 	reg := obs.NewRegistry()
 	clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), time.Millisecond)
 	pipe := obs.NewPipeline(reg, clock)
@@ -49,7 +62,7 @@ func runScriptedQueries(t *testing.T) scriptOutcome {
 	for _, sel := range []Selector{Hybrid, Ratio, Objective} {
 		r := req
 		r.Selector = sel
-		res, err := f.sys.Query(r)
+		res, err := f.sys.Query(context.Background(), r)
 		if err != nil {
 			t.Fatalf("query %v: %v", sel, err)
 		}
@@ -60,14 +73,14 @@ func runScriptedQueries(t *testing.T) scriptOutcome {
 	// One failing query: invalid slot counts as a query and an error.
 	bad := req
 	bad.Slot = tslot.Slot(-1)
-	if _, err := f.sys.Query(bad); err == nil {
+	if _, err := f.sys.Query(context.Background(), bad); err == nil {
 		t.Fatal("invalid slot should fail")
 	}
 
 	// One adaptive query (2 stages, impossible SD target so both stages run
 	// unless the data converges early — either way the diagnostics tell us).
 	probeBefore := pipe.ProbeRounds.Value()
-	ar, err := f.sys.QueryAdaptive(req, 0, 2)
+	ar, err := f.sys.QueryAdaptive(context.Background(), req, 0, 2)
 	if err != nil {
 		t.Fatalf("adaptive: %v", err)
 	}
@@ -173,7 +186,7 @@ func TestTraceSpansCoverStages(t *testing.T) {
 	slot := tslot.Slot(60)
 	tr := obs.NewTrace("q-1", clock)
 	ctx := obs.WithTrace(context.Background(), tr)
-	_, err := f.sys.QueryCtx(ctx, QueryRequest{
+	_, err := f.sys.Query(ctx, QueryRequest{
 		Slot: slot, Roads: []int{2, 4}, Budget: 20, Theta: 0.9,
 		Workers: pool, Truth: f.truth(0, slot), Seed: 3,
 	})

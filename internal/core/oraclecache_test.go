@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestConcurrentQueryMixedSlots(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				slot := slots[(g+i)%len(slots)]
-				res, err := sys.Query(QueryRequest{
+				res, err := sys.Query(context.Background(), QueryRequest{
 					Slot:    slot,
 					Roads:   query,
 					Budget:  12,
@@ -187,11 +188,11 @@ func TestQueryDeterministicAcrossOracleEngines(t *testing.T) {
 		Slot: 30, Roads: query, WorkerRoads: pool.Roads(),
 		Budget: 10, Theta: 0.92, Selector: Hybrid, Seed: 1,
 	}
-	a, err := f.sys.Select(sreq)
+	a, err := f.sys.Select(context.Background(), sreq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := legacy.Select(sreq)
+	b, err := legacy.Select(context.Background(), sreq)
 	if err != nil {
 		t.Fatal(err)
 	}

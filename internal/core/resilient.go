@@ -101,14 +101,8 @@ func (s *System) QueryResilient(ctx context.Context, req QueryRequest, opt Resil
 }
 
 func (s *System) queryResilient(ctx context.Context, pipe *obs.Pipeline, req QueryRequest, opt ResilientOptions) (*ResilientResult, error) {
-	if req.Workers == nil {
-		return nil, fmt.Errorf("core: query without a worker pool")
-	}
-	if req.Truth == nil {
-		return nil, fmt.Errorf("core: query without a truth source (workers need speeds to report)")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("core: invalid slot %d", req.Slot)
+	if err := req.Validate(s.net.N()); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -118,11 +112,8 @@ func (s *System) queryResilient(ctx context.Context, pipe *obs.Pipeline, req Que
 		maxRounds = 3
 	}
 	campBase := crowd.DefaultCampaign(req.Seed)
-	if req.Campaign != nil {
-		campBase = *req.Campaign
-		if campBase.Seed == 0 {
-			campBase.Seed = req.Seed
-		}
+	if _, camp := req.seeded(); camp != nil {
+		campBase = *camp
 	}
 
 	costs := s.net.Costs()
@@ -227,7 +218,7 @@ func (s *System) queryResilient(ctx context.Context, pipe *obs.Pipeline, req Que
 	// Propagate whatever we got. With zero observations GSP has no sources
 	// and the field rests at the periodicity prior μ — the explicit
 	// graceful-degradation fallback.
-	prop, err := s.estimateState(ctx, st, req.Slot, observed)
+	prop, err := s.estimateState(ctx, st, req.Slot, observed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: GSP: %w", err)
 	}
@@ -238,13 +229,8 @@ func (s *System) queryResilient(ctx context.Context, pipe *obs.Pipeline, req Que
 		out.Degraded = true
 		out.FallbackPrior = true
 	}
-	qs := make(map[int]float64, len(req.Roads))
 	qp := make(map[int]gsp.Provenance, len(req.Roads))
 	for _, r := range req.Roads {
-		if r < 0 || r >= len(prop.Speeds) {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
-		qs[r] = prop.Speeds[r]
 		if r < len(prop.Provenance) {
 			qp[r] = prop.Provenance[r]
 		}
@@ -253,7 +239,7 @@ func (s *System) queryResilient(ctx context.Context, pipe *obs.Pipeline, req Que
 	out.Probed = observed
 	out.Answers = merged.Answers
 	out.Speeds = prop.Speeds
-	out.QuerySpeeds = qs
+	out.QuerySpeeds = QuerySpeeds(prop.Speeds, req.Roads)
 	out.Propagation = prop
 	out.Ledger = ledger
 	out.Campaign = merged

@@ -36,7 +36,7 @@ func TestEstimateTierFull(t *testing.T) {
 	if res.Tier != qos.TierFull || res.VarianceInflation != 1.0 {
 		t.Fatalf("full tier labeled %s ×%v", res.Tier, res.VarianceInflation)
 	}
-	want, err := f.sys.Estimate(slot, observed)
+	want, err := f.sys.Estimate(context.Background(), slot, observed)
 	if err != nil {
 		t.Fatal(err)
 	}

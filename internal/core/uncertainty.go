@@ -2,7 +2,7 @@
 // observation-noise variance vector — seeded from workerqual answer
 // dispersion, falling back to per-road-class defaults — plus a global SD
 // calibration scale fit on held-out days. Both thread through every GSP run
-// (estimateStateWarm) and into the temporal filter's measurement updates, so
+// (estimateState) and into the temporal filter's measurement updates, so
 // every served SD is a calibrated posterior instead of a structural proxy.
 package core
 

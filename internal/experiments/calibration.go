@@ -19,6 +19,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -170,7 +171,7 @@ func FitSDScale(env *Env, densities []int, slots int) (float64, error) {
 				return 0, err
 			}
 			for _, d := range densities {
-				res, err := env.Sys.Estimate(t, probeSet(env, day, t, sched[i].permA, sched[i].noiseA, d))
+				res, err := env.Sys.Estimate(context.TODO(), t, probeSet(env, day, t, sched[i].permA, sched[i].noiseA, d))
 				if err != nil {
 					return 0, err
 				}
@@ -324,7 +325,7 @@ func CalibrationAblation(env *Env, densities []int, levels []float64, slots int)
 			}
 			for di, d := range densities {
 				obsA := probeSet(env, day, t, sched[i].permA, sched[i].noiseA, d)
-				resA, err := env.Sys.Estimate(t, obsA)
+				resA, err := env.Sys.Estimate(context.TODO(), t, obsA)
 				if err != nil {
 					return nil, err
 				}
@@ -417,7 +418,7 @@ func VarMinAblation(env *Env, budgets []int, theta float64) ([]VarMinRow, error)
 				if err != nil {
 					return nil, err
 				}
-				res, err := env.Sys.Estimate(env.Slot, probed)
+				res, err := env.Sys.Estimate(context.TODO(), env.Slot, probed)
 				if err != nil {
 					return nil, err
 				}

@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -180,7 +181,7 @@ func Figure2(opt Options, budgets []int) ([]Fig2Row, error) {
 		for _, k := range budgets {
 			row := Fig2Row{CostRange: cr.name, Budget: k}
 			for _, sel := range []core.Selector{core.Hybrid, core.Ratio, core.Objective} {
-				sol, err := env.Sys.Select(core.SelectRequest{
+				sol, err := env.Sys.Select(context.TODO(), core.SelectRequest{
 					Slot: env.Slot, Roads: env.Query, WorkerRoads: pool.Roads(),
 					Budget: k, Theta: 0.92, Selector: sel, Seed: env.Seed,
 				})
@@ -323,7 +324,7 @@ func TableIII(env *Env, budgets []int) ([]TableIIIRow, error) {
 	var rows []TableIIIRow
 	for _, sel := range []core.Selector{core.Objective, core.RandomSel, core.Hybrid} {
 		for _, k := range budgets {
-			sol, err := env.Sys.Select(core.SelectRequest{
+			sol, err := env.Sys.Select(context.TODO(), core.SelectRequest{
 				Slot: env.Slot, Roads: env.Query, WorkerRoads: pool.Roads(),
 				Budget: k, Theta: 0.92, Selector: sel, Seed: env.Seed,
 			})
@@ -360,7 +361,7 @@ func Figure4a(env *Env, budgets []int) ([]Fig4aRow, error) {
 		row := Fig4aRow{Budget: k}
 		for _, sel := range []core.Selector{core.Hybrid, core.Ratio, core.Objective} {
 			start := time.Now()
-			if _, err := env.Sys.Select(core.SelectRequest{
+			if _, err := env.Sys.Select(context.TODO(), core.SelectRequest{
 				Slot: env.Slot, Roads: env.Query, WorkerRoads: pool.Roads(),
 				Budget: k, Theta: 0.92, Selector: sel, Seed: env.Seed,
 			}); err != nil {
@@ -495,7 +496,7 @@ func Figure6(opt Options, budgets []int) ([]Fig6Row, error) {
 	for _, k := range budgets {
 		sums := map[string][2]float64{}
 		for _, day := range env.EvalDays {
-			sol, err := env.Sys.Select(core.SelectRequest{
+			sol, err := env.Sys.Select(context.TODO(), core.SelectRequest{
 				Slot: env.Slot, Roads: env.Query, WorkerRoads: pool.Roads(),
 				Budget: k, Theta: 0.92, Selector: core.Hybrid, Seed: env.Seed,
 			})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestGoldenShapeSweep(t *testing.T) {
 	for _, k := range budgets {
 		vo := map[core.Selector]float64{}
 		for _, sel := range selectors {
-			sol, err := env.Sys.Select(core.SelectRequest{
+			sol, err := env.Sys.Select(context.Background(), core.SelectRequest{
 				Slot: env.Slot, Roads: env.Query, WorkerRoads: pool.Roads(),
 				Budget: k, Theta: theta, Selector: sel, Seed: env.Seed,
 			})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -96,7 +97,7 @@ func TemporalAblation(env *Env, probeCounts []int, slots int) ([]TemporalRow, er
 					truth := env.Hist.At(day, t, r)
 					observed[r] = truth * (1 + 0.02*sc.noise[r])
 				}
-				res, err := env.Sys.Estimate(t, observed)
+				res, err := env.Sys.Estimate(context.TODO(), t, observed)
 				if err != nil {
 					return nil, err
 				}
@@ -203,7 +204,7 @@ func TemporalForecast(env *Env, probes, slots, horizon int) ([]ForecastRow, erro
 			for _, r := range perm[:probes] {
 				observed[r] = env.Hist.At(day, t, r) * (1 + 0.02*rng.NormFloat64())
 			}
-			res, err := env.Sys.Estimate(t, observed)
+			res, err := env.Sys.Estimate(context.TODO(), t, observed)
 			if err != nil {
 				return nil, err
 			}

@@ -618,6 +618,24 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// estimateAdmitted answers one estimate at the service tier the admission
+// decision picked — the full pipeline when QoS is disabled, exactly as
+// pre-QoS — and records the tier actually served with the QoS controller
+// (execution can degrade past the decision: cached → prior fallthrough on a
+// cold slot). The returned admission info is nil when QoS is disabled.
+func (s *Server) estimateAdmitted(ctx context.Context, slot tslot.Slot, observed map[int]float64) (core.TierResult, *admissionInfo, error) {
+	tier := qos.TierFull
+	ai := admissionFrom(ctx)
+	if ai != nil {
+		tier = ai.Decision.Tier
+	}
+	res, err := s.batcher.EstimateTier(ctx, tier, slot, observed)
+	if err == nil && ai != nil && s.qosCtl != nil {
+		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
+	}
+	return res, ai, err
+}
+
 // estimateOne validates and answers one estimate request through the
 // coalescing layer. On error the returned status is the HTTP code to report.
 func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimateResponse, int, error) {
@@ -642,21 +660,9 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 		observed[id] = v
 	}
 
-	// The admission decision (when QoS is enabled) picks the service tier;
-	// without it every request runs the full pipeline, exactly as pre-QoS.
-	tier := qos.TierFull
-	ai := admissionFrom(ctx)
-	if ai != nil {
-		tier = ai.Decision.Tier
-	}
-	res, err := s.batcher.EstimateTier(ctx, tier, slot, observed)
+	res, ai, err := s.estimateAdmitted(ctx, slot, observed)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
-	}
-	if ai != nil && s.qosCtl != nil {
-		// Record the served tier when execution degraded past the decision
-		// (cached → prior fallthrough on a cold slot).
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
 	}
 	// A prior-tier answer is the periodicity prior regardless of how many
 	// observations arrived — it is degraded by construction.
@@ -749,18 +755,10 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	observed := s.collector.Observations(slot)
-	tier := qos.TierFull
-	ai := admissionFrom(r.Context())
-	if ai != nil {
-		tier = ai.Decision.Tier
-	}
-	res, err := s.batcher.EstimateTier(r.Context(), tier, slot, observed)
+	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
-	}
-	if ai != nil && s.qosCtl != nil {
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
 	}
 	alerts, err := detect.Scan(s.sys.Model().At(slot), res.Result, detect.DefaultConfig())
 	if err != nil {
@@ -863,18 +861,10 @@ func (s *Server) handleAlertPredicates(w http.ResponseWriter, r *http.Request) {
 	}
 
 	observed := s.collector.Observations(slot)
-	tier := qos.TierFull
-	ai := admissionFrom(r.Context())
-	if ai != nil {
-		tier = ai.Decision.Tier
-	}
-	res, err := s.batcher.EstimateTier(r.Context(), tier, slot, observed)
+	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
-	}
-	if ai != nil && s.qosCtl != nil {
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
 	}
 
 	out := alertsPredicateResponse{

@@ -203,7 +203,10 @@ type Result struct {
 // which is exactly the boundary-stitching step: a probe just across the cut
 // still anchors this side's propagation.
 func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (Result, error) {
-	obsPerShard := e.routeObservations(observed)
+	obsPerShard, err := e.routeObservations(observed)
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{
 		Speeds:   make([]float64, e.net.N()),
 		PerShard: make([]gsp.Result, len(e.shards)),
@@ -239,15 +242,16 @@ func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]fl
 
 // routeObservations builds each shard's local observation map: every global
 // observation lands in its owner shard and in every shard whose halo carries
-// the road.
-func (e *Engine) routeObservations(observed map[int]float64) []map[int]float64 {
+// the road. An out-of-range road id is an error, as it is for the unsharded
+// engine.
+func (e *Engine) routeObservations(observed map[int]float64) ([]map[int]float64, error) {
 	out := make([]map[int]float64, len(e.shards))
 	for p := range out {
 		out[p] = make(map[int]float64)
 	}
 	for gid, v := range observed {
 		if gid < 0 || gid >= len(e.owner) {
-			continue // per-shard validation surfaces true errors
+			return nil, fmt.Errorf("shard: observed road %d out of range", gid)
 		}
 		for p := range e.shards {
 			if li := e.local[p][gid]; li >= 0 {
@@ -255,18 +259,7 @@ func (e *Engine) routeObservations(observed map[int]float64) []map[int]float64 {
 			}
 		}
 	}
-	return out
-}
-
-// SelectRequest mirrors core.SelectRequest with global road ids.
-type SelectRequest struct {
-	Slot        tslot.Slot
-	Roads       []int
-	WorkerRoads []int
-	Budget      int
-	Theta       float64
-	Selector    core.Selector
-	Seed        int64
+	return out, nil
 }
 
 // Select solves OCS per shard and merges: query roads and worker candidates
@@ -274,8 +267,13 @@ type SelectRequest struct {
 // it is owned, so no road can be selected twice), the budget is split
 // proportionally to each shard's queried-road count (largest-remainder,
 // shard order breaks ties — deterministic), and the per-shard selections are
-// concatenated in shard order.
-func (e *Engine) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
+// concatenated in shard order. Road ids are global and must be in range. The
+// RouteVar weights are not sharded, so a request carrying Weights is
+// rejected.
+func (e *Engine) Select(ctx context.Context, req core.SelectRequest) (ocs.Solution, error) {
+	if req.Weights != nil {
+		return ocs.Solution{}, fmt.Errorf("shard: select weights (RouteVar) are not sharded")
+	}
 	k := len(e.shards)
 	queries := make([][]int, k)
 	workers := make([][]int, k)
@@ -288,7 +286,7 @@ func (e *Engine) Select(ctx context.Context, req SelectRequest) (ocs.Solution, e
 	}
 	for _, r := range req.WorkerRoads {
 		if r < 0 || r >= len(e.owner) {
-			continue
+			return ocs.Solution{}, fmt.Errorf("shard: worker road %d out of range", r)
 		}
 		p := e.owner[r]
 		workers[p] = append(workers[p], int(e.local[p][r]))
@@ -367,19 +365,6 @@ func splitBudget(budget int, queries [][]int) []int {
 	return out
 }
 
-// QueryRequest is one sharded online query, in global road ids.
-type QueryRequest struct {
-	Slot     tslot.Slot
-	Roads    []int
-	Budget   int
-	Theta    float64
-	Workers  *crowd.Pool
-	Selector core.Selector
-	Seed     int64
-	Probe    crowd.ProbeConfig
-	Truth    crowd.TruthFunc
-}
-
 // QueryResult is the sharded pipeline's answer.
 type QueryResult struct {
 	Selected    ocs.Solution
@@ -391,48 +376,35 @@ type QueryResult struct {
 }
 
 // Query runs the sharded online pipeline: per-shard OCS under a split budget,
-// one global crowd probe of the merged selection, then halo-stitched
-// estimation. Probing stays global because the crowd is global — a worker
-// does not care which shard owns the road it drives on.
-func (e *Engine) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	if req.Workers == nil {
-		return nil, fmt.Errorf("shard: query without a worker pool")
+// one global crowd probe of the merged selection (a task campaign when
+// req.Campaign is set), then halo-stitched estimation. Probing stays global
+// because the crowd is global — a worker does not care which shard owns the
+// road it drives on.
+func (e *Engine) Query(ctx context.Context, req core.QueryRequest) (*QueryResult, error) {
+	if err := req.Validate(e.net.N()); err != nil {
+		return nil, err
 	}
-	if req.Truth == nil {
-		return nil, fmt.Errorf("shard: query without a truth source")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("shard: invalid slot %d", req.Slot)
-	}
-	sol, err := e.Select(ctx, SelectRequest{
+	sol, err := e.Select(ctx, core.SelectRequest{
 		Slot: req.Slot, Roads: req.Roads, WorkerRoads: req.Workers.Roads(),
 		Budget: req.Budget, Theta: req.Theta, Selector: req.Selector, Seed: req.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	probeCfg := req.Probe
-	if probeCfg.Seed == 0 {
-		probeCfg.Seed = req.Seed
-	}
 	ledger := crowd.Ledger{Budget: req.Budget}
-	probed, _, err := req.Workers.Probe(sol.Roads, e.net.Costs(), req.Truth, probeCfg, &ledger)
+	probed, _, _, err := req.Crowdsource(sol.Roads, e.net.Costs(), &ledger)
 	if err != nil {
-		return nil, fmt.Errorf("shard: probing: %w", err)
+		return nil, err
 	}
 	prop, err := e.Estimate(ctx, req.Slot, probed)
 	if err != nil {
 		return nil, err
 	}
-	qs := make(map[int]float64, len(req.Roads))
-	for _, r := range req.Roads {
-		qs[r] = prop.Speeds[r]
-	}
 	return &QueryResult{
 		Selected:    sol,
 		Probed:      probed,
 		Speeds:      prop.Speeds,
-		QuerySpeeds: qs,
+		QuerySpeeds: core.QuerySpeeds(prop.Speeds, req.Roads),
 		Ledger:      ledger,
 		Propagation: prop,
 	}, nil

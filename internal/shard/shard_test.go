@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/rtf"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
@@ -72,7 +73,7 @@ func TestFullHaloExactEquivalence(t *testing.T) {
 	for r := 0; r < net.N(); r += 9 {
 		observed[r] = profiles[r].Speed(slot) * 0.9
 	}
-	want, err := flat.Estimate(slot, observed)
+	want, err := flat.Estimate(context.Background(), slot, observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestHaloStitchedEquivalence(t *testing.T) {
 	for r := 0; r < net.N(); r += 7 {
 		observed[r] = profiles[r].Speed(slot) * 0.88
 	}
-	want, err := flat.Estimate(slot, observed)
+	want, err := flat.Estimate(context.Background(), slot, observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestShardedSelect(t *testing.T) {
 	for r := range workers {
 		workers[r] = r
 	}
-	sol, err := eng.Select(context.Background(), SelectRequest{
+	sol, err := eng.Select(context.Background(), core.SelectRequest{
 		Slot: 10, Roads: query, WorkerRoads: workers, Budget: 48, Theta: 0.95,
 	})
 	if err != nil {
@@ -269,7 +270,7 @@ func TestConcurrentCrossShardQueries(t *testing.T) {
 			for r := gi; r < net.N(); r += 20 {
 				query = append(query, r)
 			}
-			res, err := eng.Query(context.Background(), QueryRequest{
+			res, err := eng.Query(context.Background(), core.QueryRequest{
 				Slot: slot, Roads: query, Budget: 40, Theta: 0.95,
 				Workers: pool, Truth: truth, Seed: int64(gi + 1),
 				Probe: crowd.ProbeConfig{NoiseSD: 0.02},
@@ -301,5 +302,134 @@ func TestConcurrentCrossShardQueries(t *testing.T) {
 	}
 	if totalOwned != net.N() {
 		t.Errorf("shards own %d of %d roads", totalOwned, net.N())
+	}
+}
+
+// TestQueryValidationParity sends the same bad requests to every query entry
+// point — System.Query, QueryAdaptive, QueryResilient, Batcher.Query and the
+// sharded Engine.Query. Each must refuse every request up front: no
+// correlation row computed, no OCS solve, no GSP run. Every case runs on
+// fresh engines, so a row cached by an earlier case cannot hide a miss.
+func TestQueryValidationParity(t *testing.T) {
+	net, model, profiles := metroFixture(t, 200, 4)
+	n := net.N()
+	slot := tslot.Slot(100)
+	good := core.QueryRequest{
+		Slot: slot, Roads: []int{1, 2}, Budget: 20, Theta: 0.9,
+		Workers: crowd.PlaceEverywhere(net),
+		Truth:   func(r int) float64 { return profiles[r].Speed(slot) },
+	}
+	bad := []struct {
+		name   string
+		mutate func(r *core.QueryRequest)
+	}{
+		{"nil workers", func(r *core.QueryRequest) { r.Workers = nil }},
+		{"nil truth", func(r *core.QueryRequest) { r.Truth = nil }},
+		{"slot -1", func(r *core.QueryRequest) { r.Slot = -1 }},
+		{"road N", func(r *core.QueryRequest) { r.Roads = []int{1, n} }},
+	}
+	type engines struct {
+		sys   *core.System
+		batch *core.Batcher
+		eng   *Engine
+	}
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		run  func(e engines, r core.QueryRequest) error
+	}{
+		{"System.Query", func(e engines, r core.QueryRequest) error {
+			_, err := e.sys.Query(ctx, r)
+			return err
+		}},
+		{"System.QueryAdaptive", func(e engines, r core.QueryRequest) error {
+			_, err := e.sys.QueryAdaptive(ctx, r, 0, 2)
+			return err
+		}},
+		{"System.QueryResilient", func(e engines, r core.QueryRequest) error {
+			_, err := e.sys.QueryResilient(ctx, r, core.ResilientOptions{})
+			return err
+		}},
+		{"Batcher.Query", func(e engines, r core.QueryRequest) error {
+			_, err := e.batch.Query(ctx, r)
+			return err
+		}},
+		{"Engine.Query", func(e engines, r core.QueryRequest) error {
+			_, err := e.eng.Query(ctx, r)
+			return err
+		}},
+	}
+	for _, entry := range entries {
+		for _, c := range bad {
+			pipe := obs.NewPipeline(obs.NewRegistry(), nil)
+			sys, err := core.NewFromModel(net, model, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Instrument(pipe)
+			batch, err := core.NewBatcher(sys, core.BatcherOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := New(net, model, Config{Shards: 2, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Instrument(pipe)
+
+			req := good
+			c.mutate(&req)
+			if err := entry.run(engines{sys, batch, eng}, req); err == nil {
+				t.Errorf("%s accepted a request with %s", entry.name, c.name)
+			}
+			misses := sys.OracleCacheReport().Misses
+			for _, rep := range eng.Reports() {
+				misses += rep.OracleCache.Misses
+			}
+			if misses != 0 {
+				t.Errorf("%s with %s computed %d correlation rows", entry.name, c.name, misses)
+			}
+			if pipe.OCS.Solves.Value() != 0 || pipe.GSP.Runs.Value() != 0 {
+				t.Errorf("%s with %s ran OCS or GSP", entry.name, c.name)
+			}
+		}
+	}
+}
+
+// TestEngineRejectsOutOfRangeRoads: the sharded engine answers an
+// out-of-range road id with an error, as the unsharded engine does, instead
+// of dropping it; and it refuses RouteVar weights, which it does not shard.
+func TestEngineRejectsOutOfRangeRoads(t *testing.T) {
+	net, model, _ := metroFixture(t, 200, 4)
+	n := net.N()
+	eng, err := New(net, model, Config{Shards: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := core.NewFromModel(net, model, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, road := range []int{-1, n} {
+		observed := map[int]float64{0: 40, road: 40}
+		if _, err := flat.Estimate(ctx, 100, observed); err == nil {
+			t.Fatalf("unsharded estimate accepted observed road %d", road)
+		}
+		if _, err := eng.Estimate(ctx, 100, observed); err == nil {
+			t.Errorf("sharded estimate accepted observed road %d", road)
+		}
+		if _, err := eng.Select(ctx, core.SelectRequest{
+			Slot: 100, Roads: []int{1}, WorkerRoads: []int{0, road}, Budget: 5, Theta: 0.9,
+		}); err == nil {
+			t.Errorf("sharded select accepted worker road %d", road)
+		}
+	}
+	weights := make([]float64, n)
+	if _, err := eng.Select(ctx, core.SelectRequest{
+		Slot: 100, Roads: []int{1}, WorkerRoads: []int{0, 2}, Budget: 5, Theta: 0.9,
+		Selector: core.RouteVar, Weights: weights,
+	}); err == nil {
+		t.Error("sharded select accepted RouteVar weights")
 	}
 }
